@@ -22,6 +22,7 @@ from .errors import (
 from .generators import an_graph
 from .graph import (
     WeightedDualGraph,
+    cached_on_graph,
     graph_is_negative_definite,
     make_graph,
     serialize_graph,
@@ -29,6 +30,7 @@ from .graph import (
 from .order import NashRelation, Verdict, an_relation, relation_matrix
 
 
+@cached_on_graph
 def is_minimal(g: WeightedDualGraph) -> bool:
     """Weight >= valence at every vertex, on a rational graph."""
     if any(g.weights[i] < g.valence(i) for i in range(g.n)):
@@ -149,8 +151,83 @@ def _extend_to_leaf(g: WeightedDualGraph, path: list[int], end: int) -> list[int
         tail.append(nxt)
 
 
+@dataclass(frozen=True)
+class _LeafEmbedding:
+    """The part of a bamboo decomposition fixed by its starting leaf z_1."""
+
+    supergraph: WeightedDualGraph
+    attached: dict[str, int]
+    pieces: tuple[tuple[str, ...], ...]
+    piece_members: tuple[frozenset[str], ...]
+    contraction: ContractionTrace
+
+
+@cached_on_graph
+def _leaf_embeddings(g: WeightedDualGraph) -> dict[int, _LeafEmbedding]:
+    """Per-graph store of the embeddings built so far, keyed by z_1."""
+    return {}
+
+
+def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
+    """Attach weight-1 vertices for the starting leaf z1, once per leaf.
+
+    Counts use weight and valence in g itself.  The k-th vertex attached
+    to v is named "{v}+{k}" unless that id is taken, in which case the
+    next free suffix is used.
+    """
+    store = _leaf_embeddings(g)
+    if z1 in store:
+        return store[z1]
+    vertices = list(zip(g.ids, g.weights))
+    edges = [(g.ids[i], g.ids[j]) for i, j in sorted(g.edges)]
+    taken = set(g.ids)
+    attached: dict[str, int] = {}
+    aux_of: list[list[str]] = [[] for _ in range(g.n)]
+    for v in range(g.n):
+        w, val = g.weights[v], g.valence(v)
+        count = max(w - val - 1, 0) if v == z1 else w - val
+        attached[g.ids[v]] = count
+        suffix = 1
+        for _ in range(count):
+            while f"{g.ids[v]}+{suffix}" in taken:
+                suffix += 1
+            aux_id = f"{g.ids[v]}+{suffix}"
+            taken.add(aux_id)
+            suffix += 1
+            vertices.append((aux_id, 1))
+            edges.append((g.ids[v], aux_id))
+            aux_of[v].append(aux_id)
+    supergraph = make_graph(vertices, edges, auxiliary=True)
+
+    # one piece per weight-1 vertex: the path from z_1 to it, in the
+    # order the weight-1 vertices were attached
+    trunk: list[tuple[str, ...]] = [()] * g.n
+    trunk[z1] = (g.ids[z1],)
+    reached = [z1]
+    for v in reached:
+        for u in g.neighbors(v):
+            if not trunk[u]:
+                trunk[u] = trunk[v] + (g.ids[u],)
+                reached.append(u)
+    pieces = tuple(trunk[v] + (aux_id,) for v in range(g.n) for aux_id in aux_of[v])
+
+    emb = _LeafEmbedding(
+        supergraph=supergraph,
+        attached=attached,
+        pieces=pieces,
+        piece_members=tuple(frozenset(p) for p in pieces),
+        contraction=contracts_to_empty(supergraph),
+    )
+    store[z1] = emb
+    return emb
+
+
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
-    """Bamboo decomposition of a minimal graph through the vertices x and y."""
+    """Bamboo decomposition of a minimal graph through the vertices x and y.
+
+    The supergraph, its pieces and its contraction depend only on the
+    starting leaf z_1 and are built once per leaf of g.
+    """
     if x == y:
         raise SameVertex("decomposition needs two distinct vertices")
     if not is_minimal(g):
@@ -161,64 +238,35 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
     head = _extend_to_leaf(g, core, core[0])
     tail = _extend_to_leaf(g, core, core[-1])
     bamboo = list(reversed(head)) + core + tail
-    z1, z2 = bamboo[0], bamboo[-1]
+    emb = _leaf_embedding(g, bamboo[0])
 
-    # attach weight-1 vertices; counts use weight and valence in g itself
-    vertices = [(vid, w) for vid, w in zip(g.ids, g.weights)]
-    edges = [(g.ids[i], g.ids[j]) for i, j in sorted(g.edges)]
-    attached: dict[str, int] = {}
-    for v in range(g.n):
-        w, val = g.weights[v], g.valence(v)
-        if v == z1:
-            count = max(w - val - 1, 0)
-        else:
-            count = w - val
-        attached[g.ids[v]] = count
-        for k in range(count):
-            aux_id = f"{g.ids[v]}+{k + 1}"
-            vertices.append((aux_id, 1))
-            edges.append((g.ids[v], aux_id))
-    supergraph = make_graph(vertices, edges, auxiliary=True)
-
-    # one piece per weight-1 vertex: the path from z_1 to it
-    z1_id = g.ids[z1]
-    aux_ids = [vid for vid, w in vertices if w == 1]
-    pieces = []
-    designated = None
-    bamboo_ids = tuple(g.ids[v] for v in bamboo)
-    for aux in aux_ids:
-        p = supergraph.path(supergraph.index_of(z1_id), supergraph.index_of(aux))
-        piece = tuple(supergraph.ids[v] for v in p)
-        if designated is None and x in piece and y in piece:
-            designated = len(pieces)
-        pieces.append(piece)
+    designated = next(
+        (k for k, members in enumerate(emb.piece_members) if x in members and y in members),
+        None,
+    )
     assert designated is not None  # z_2 is a leaf of g, so it carries an aux vertex
 
-    positions = (bamboo.index(xi) + 1, bamboo.index(yi) + 1)
-    trace = contracts_to_empty(supergraph)
     return DecompositionCertificate(
         graph=g,
-        supergraph=supergraph,
-        bamboo=bamboo_ids,
-        attached=attached,
-        pieces=tuple(pieces),
+        supergraph=emb.supergraph,
+        bamboo=tuple(g.ids[v] for v in bamboo),
+        attached=dict(emb.attached),
+        pieces=emb.pieces,
         designated=designated,
-        m=len(bamboo_ids),
-        positions=positions,
-        contraction=trace,
+        m=len(bamboo),
+        positions=(bamboo.index(xi) + 1, bamboo.index(yi) + 1),
+        contraction=emb.contraction,
     )
 
 
 class Rule:
     ORDER_CRITERION = "OrderCriterion"
     PROPAGATION = "Propagation"
-    SHAPE_CONDITIONAL = "ShapeConditional"
 
 
 class Status:
     PROVEN = "Proven"
     OPEN = "Open"
-    CONDITIONAL = "Conditional"
 
 
 @dataclass
@@ -286,12 +334,15 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     rm = relation_matrix(g)
     direct = rm.non_inclusions()
     entries: dict[tuple[str, str], CertificateEntry] = {}
+    quotients: dict[int, WeightedDualGraph] = {}
     for xi in range(g.n):
         for yi in range(xi + 1, g.n):
             x, y = g.ids[xi], g.ids[yi]
             cert = decompose_minimal(g, x, y)
             piece = cert.pieces[cert.designated]
-            quotient = an_graph(cert.m)
+            if cert.m not in quotients:
+                quotients[cert.m] = an_graph(cert.m)
+            quotient = quotients[cert.m]
             px, py = cert.positions
             rel = an_relation(cert.m, px - 1, py - 1)
             mapping = {

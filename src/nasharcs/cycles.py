@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .errors import (
 from .graph import (
     WeightedDualGraph,
     adjacency,
+    cached_on_graph,
     graph_is_negative_definite,
     intersection_matrix,
 )
@@ -59,7 +59,7 @@ def _require_negative_definite(g: WeightedDualGraph) -> None:
         raise NotNegativeDefinite("intersection matrix is not negative definite")
 
 
-@lru_cache(maxsize=None)
+@cached_on_graph
 def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
     """Minimal anti-nef cycle >= (1,...,1), by Laufer-style increments.
 
@@ -101,7 +101,7 @@ class RayBasis:
         return self.matrix.row(vertex)
 
 
-@lru_cache(maxsize=None)
+@cached_on_graph
 def ray_basis(g: WeightedDualGraph) -> RayBasis:
     """Exact inverse of -M packaged as the cone's extreme rays."""
     _require_negative_definite(g)
@@ -115,19 +115,27 @@ def scale_to_integer(column: Sequence[Q]) -> Cycle:
     return tuple(int(Q(c) * mult) for c in column)
 
 
+@cached_on_graph
+def integer_rays(g: WeightedDualGraph) -> tuple[Cycle, ...]:
+    """The ray columns, each cleared of denominators."""
+    rays = ray_basis(g)
+    return tuple(scale_to_integer(rays.column(k)) for k in range(g.n))
+
+
 def order_cycle_witness(g: WeightedDualGraph, i: int, j: int) -> Cycle | None:
     """Integer anti-nef cycle with coefficient at i strictly below j, if any.
 
     The anti-nef cone is generated by the ray columns, so such a cycle
-    exists iff some single column already separates i and j; that column
-    (cleared of denominators) is returned.
+    exists iff some single column already separates i and j; the first
+    such column (cleared of denominators) is returned.  Scaling by a
+    positive integer keeps the comparison, so the integer columns are
+    scanned directly.
     """
     if i == j:
         raise SameVertex("order comparison needs two distinct vertices")
-    rays = ray_basis(g)
-    for k in range(g.n):
-        if rays.entry(i, k) < rays.entry(j, k):
-            return scale_to_integer(rays.column(k))
+    for column in integer_rays(g):
+        if column[i] < column[j]:
+            return column
     return None
 
 
@@ -158,7 +166,7 @@ def serialize_ray_basis(rays: RayBasis) -> list[list[str]]:
     ]
 
 
-@lru_cache(maxsize=None)
+@cached_on_graph
 def is_rational(g: WeightedDualGraph) -> bool:
     """Artin's criterion: the fundamental cycle has arithmetic genus zero."""
     _require_negative_definite(g)

@@ -65,6 +65,10 @@ class NotInImage(NashArcsError):
     """Vertex pair is not covered by the propagation mapping."""
 
 
+class BadParameter(NashArcsError):
+    """Size or weight list of a built-in graph family out of range."""
+
+
 class BadFamilyIndex(NashArcsError):
     """Arc family index outside 1..n."""
 

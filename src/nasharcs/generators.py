@@ -4,13 +4,14 @@ from __future__ import annotations
 import random
 
 from .cycles import is_rational
+from .errors import BadParameter
 from .graph import WeightedDualGraph, graph_is_negative_definite, make_graph
 
 
 def an_graph(n: int) -> WeightedDualGraph:
     """Weight-2 bamboo with n vertices (dual graph of z^(n+1) = x y)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BadParameter(f"n must be >= 1, got {n}")
     ids = [f"E{k}" for k in range(1, n + 1)]
     return make_graph(
         [(vid, 2) for vid in ids],
@@ -28,12 +29,12 @@ def e6_graph() -> WeightedDualGraph:
 def dn_shape_graph(n: int, weights: list[int] | None = None) -> WeightedDualGraph:
     """Tree shaped like D_n: chain v1..v_{n-2} with v_{n-1}, v_n forked on v_{n-2}."""
     if n < 4:
-        raise ValueError("n must be >= 4")
+        raise BadParameter(f"n must be >= 4, got {n}")
     ids = [f"v{k}" for k in range(1, n + 1)]
     if weights is None:
         weights = [2] * n
     if len(weights) != n:
-        raise ValueError("need one weight per vertex")
+        raise BadParameter("need one weight per vertex")
     edges = [(ids[k], ids[k + 1]) for k in range(n - 3)]
     edges += [(ids[n - 3], ids[n - 2]), (ids[n - 3], ids[n - 1])]
     return make_graph(list(zip(ids, weights)), edges)

@@ -9,22 +9,36 @@ weight-1 vertices produced by the embedding constructions).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from fractions import Fraction as Q
+from functools import wraps
+from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import BadWeight, MalformedDocument, NotATree
 from .rational import RationalMatrix, require_symmetric
 
 
+T = TypeVar("T")
+
+
 @dataclass(frozen=True)
 class WeightedDualGraph:
-    """Immutable weighted tree; vertices are dense indices 0..n-1 with string ids."""
+    """Immutable weighted tree; vertices are dense indices 0..n-1 with string ids.
+
+    Equality and hashing use the four data fields only.  Derived per-graph
+    data (adjacency, definiteness, fundamental cycle, ray basis, relation
+    table, ...) is memoized in `_memo`, a dict owned by this instance and
+    filled by functions decorated with `cached_on_graph`; it is dropped
+    with the graph, and a lookup never hashes or compares the graph.
+    """
 
     ids: tuple[str, ...]
     weights: tuple[int, ...]
     edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
     auxiliary: bool = False
+    _memo: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.ids)
@@ -73,15 +87,15 @@ class WeightedDualGraph:
 
     def index_of(self, vid: str) -> int:
         try:
-            return self.ids.index(vid)
-        except ValueError:
+            return vertex_index(self)[vid]
+        except KeyError:
             raise MalformedDocument(f"unknown vertex id {vid!r}") from None
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return adjacency(self)[i]
 
     def valence(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
+        return len(adjacency(self)[i])
 
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -179,7 +193,21 @@ def serialize_graph(g: WeightedDualGraph) -> dict[str, Any]:
     return doc
 
 
-@lru_cache(maxsize=None)
+def cached_on_graph(fn: Callable[[WeightedDualGraph], T]) -> Callable[[WeightedDualGraph], T]:
+    """Memoize a function of one graph in that graph's own `_memo`."""
+
+    @wraps(fn)
+    def wrapper(g: WeightedDualGraph) -> T:
+        memo = g._memo
+        if fn in memo:
+            return memo[fn]
+        out = memo[fn] = fn(g)
+        return out
+
+    return wrapper
+
+
+@cached_on_graph
 def adjacency(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor lists, computed once per graph."""
     out: list[list[int]] = [[] for _ in range(g.n)]
@@ -189,7 +217,12 @@ def adjacency(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
 
-@lru_cache(maxsize=None)
+@cached_on_graph
+def vertex_index(g: WeightedDualGraph) -> dict[str, int]:
+    """Vertex id -> dense index."""
+    return {vid: k for k, vid in enumerate(g.ids)}
+
+
 def intersection_matrix(g: WeightedDualGraph) -> RationalMatrix:
     """M[i][i] = -w(i); M[i][j] = 1 iff i--j is an edge."""
     n = g.n
@@ -208,6 +241,28 @@ def is_negative_definite(m: RationalMatrix) -> bool:
     return all(d > 0 for d in (-m).leading_principal_minors())
 
 
-@lru_cache(maxsize=None)
+@cached_on_graph
 def graph_is_negative_definite(g: WeightedDualGraph) -> bool:
-    return is_negative_definite(intersection_matrix(g))
+    """-M positive definite, by leaf-to-root elimination on the tree.
+
+    Rooted at vertex 0, the pivots d(v) = w(v) - sum over the children c
+    of 1/d(c) are the ratios of successive leading principal minors of -M
+    in a leaves-first vertex order, which causes no fill-in on a tree; so
+    -M is positive definite exactly when every pivot is > 0
+    (Eisenbud-Neumann 1985).  O(n) exact operations, no dense matrix.
+    """
+    adj = adjacency(g)
+    parent = [-1] * g.n
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    pivot = [Q(w) for w in g.weights]
+    for v in reversed(order):
+        if pivot[v] <= 0:
+            return False
+        if parent[v] >= 0:
+            pivot[parent[v]] -= 1 / pivot[v]
+    return True

@@ -9,13 +9,12 @@ in the other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .cycles import Cycle, is_anti_nef, order_cycle_witness
 from .errors import EqualityDetected, InconsistentRelation, SameVertex
-from .graph import WeightedDualGraph
+from .graph import WeightedDualGraph, cached_on_graph
 
 
 class Verdict(enum.Enum):
@@ -72,12 +71,18 @@ class RelationMatrix:
 
     graph: WeightedDualGraph
     relations: tuple[tuple[tuple[int, int], NashRelation], ...]
+    _index: dict[tuple[int, int], NashRelation] = field(
+        init=False, compare=False, hash=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", dict(self.relations))
 
     def get(self, i: int, j: int) -> NashRelation:
-        for pair, rel in self.relations:
-            if pair == (i, j):
-                return rel
-        raise SameVertex(f"no relation stored for pair ({i}, {j})")
+        try:
+            return self._index[i, j]
+        except KeyError:
+            raise SameVertex(f"no relation stored for pair ({i}, {j})") from None
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], NashRelation]]:
         return iter(self.relations)
@@ -99,17 +104,24 @@ class RelationMatrix:
 
 
 def _verify_table(rm: RelationMatrix) -> None:
-    """Post-hoc sanity: witness validity, antisymmetry, transitivity of Less."""
+    """Post-hoc sanity: witness validity, antisymmetry, transitivity of Less.
+
+    Witnesses are ray columns, so only about n distinct cycles occur; each
+    distinct cycle is tested for anti-nefness once.
+    """
     g = rm.graph
+    anti_nef: dict[Cycle, bool] = {}
     less = set()
     for (i, j), rel in rm.pairs():
         for vertex_lo, vertex_hi, w in (
             (i, j, rel.witness_ij),
             (j, i, rel.witness_ji),
         ):
-            if w is not None and not (
-                is_anti_nef(g, w) and w[vertex_lo] < w[vertex_hi]
-            ):
+            if w is None:
+                continue
+            if w not in anti_nef:
+                anti_nef[w] = is_anti_nef(g, w)
+            if not (anti_nef[w] and w[vertex_lo] < w[vertex_hi]):
                 raise InconsistentRelation(f"bad witness for pair ({i}, {j})")
         if rel.verdict is Verdict.LESS:
             less.add((i, j))
@@ -125,7 +137,7 @@ def _verify_table(rm: RelationMatrix) -> None:
                 )
 
 
-@lru_cache(maxsize=None)
+@cached_on_graph
 def relation_matrix(g: WeightedDualGraph) -> RelationMatrix:
     """Relate every ordered pair and verify the table's coherence."""
     relations = []

@@ -53,35 +53,41 @@ def _intersection_rows(g: WeightedDualGraph) -> list[list[int]]:
 def enumerate_anti_nef(g: WeightedDualGraph, max_coeff: int = 12) -> list[tuple[int, ...]]:
     """All anti-nef cycles with every coefficient in [1, max_coeff].
 
-    Depth-first assignment in vertex order; a matrix row is checked as
-    soon as its vertex and all that vertex's neighbors are assigned,
-    which prunes most of the search tree.
+    Depth-first assignment in vertex order.  When vertex k is assigned
+    the value c, every row that k touches and whose own vertex is already
+    assigned is bounded from below by counting each still-unassigned
+    neighbor as 1, the smallest value it can take.  A row only grows as
+    its neighbors grow, so a positive bound rules out every completion;
+    once all its neighbors are assigned the bound is the row's exact
+    value, so the enumerated set is exactly the anti-nef cycles in the
+    box.  Each bound is linear in c: row k itself, (-w_k) c + rest <= 0,
+    gives c >= rest / w_k, and a neighbor row r < k gives c <= w_r z_r -
+    rest.  So the admissible values of c form one interval.
     """
     n = g.n
     rows = _intersection_rows(g)
     nbrs = [list(g.neighbors(i)) for i in range(n)]
-    # rows that become fully determined once vertex k is assigned
-    ready: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        last = max([i] + nbrs[i])
-        ready[last].append(i)
+    # rows whose bound involves vertex k and whose own vertex is assigned by then
+    touched: list[list[int]] = [
+        [r for r in [k] + nbrs[k] if r <= k] for k in range(n)
+    ]
 
     found: list[tuple[int, ...]] = []
     z = [0] * n
 
     def rec(k: int) -> None:
-        if k == n:
-            found.append(tuple(z))
-            return
-        for c in range(1, max_coeff + 1):
+        lo, hi = 1, max_coeff
+        for r in touched[k]:
+            rest = sum(z[u] if u < k else 1 for u in nbrs[r] if u != k)
+            if r == k:
+                lo = max(lo, -(rest // rows[k][k]))  # ceil(rest / w_k)
+            else:
+                hi = min(hi, -rows[r][r] * z[r] - rest)
+        for c in range(lo, hi + 1):
             z[k] = c
-            ok = True
-            for r in ready[k]:
-                val = rows[r][r] * z[r] + sum(z[u] for u in nbrs[r])
-                if val > 0:
-                    ok = False
-                    break
-            if ok:
+            if k == n - 1:
+                found.append(tuple(z))
+            else:
                 rec(k + 1)
         z[k] = 0
 

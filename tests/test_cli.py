@@ -153,3 +153,49 @@ def test_malformed_graph_is_usage_error(tmp_path, capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_an_order_bad_size_is_usage_error(n, tmp_path, capsys):
+    code = main(["an-order", "--n", n, "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "BadParameter" in err and "Traceback" not in err
+
+
+def test_generator_range_errors_are_package_errors():
+    from nasharcs.errors import BadParameter
+    from nasharcs.generators import dn_shape_graph
+
+    for build in (lambda: an_graph(0), lambda: dn_shape_graph(3),
+                  lambda: dn_shape_graph(5, weights=[2, 2])):
+        with pytest.raises(BadParameter):
+            build()
+
+
+def test_certify_minimal_with_plus_ids(tmp_path):
+    # "a+1" is also the name the embedding would give the first weight-1
+    # vertex attached to "a"; the attached vertex must take another name
+    g = tmp_path / "plus.json"
+    g.write_text(
+        json.dumps(
+            {
+                "vertices": [
+                    {"id": "a", "w": 3},
+                    {"id": "a+1", "w": 2},
+                    {"id": "b", "w": 2},
+                ],
+                "edges": [["a", "a+1"], ["a+1", "b"]],
+            }
+        )
+    )
+    code, doc = run_json(["certify-minimal", str(g)], tmp_path)
+    assert code == 0
+    assert doc["open_pairs"] == []
+    assert len(doc["pairs"]) == 6
+    piece = next(
+        p["evidence"]["designated_piece"]
+        for p in doc["pairs"]
+        if (p["alpha"], p["beta"]) == ("a+1", "b")
+    )
+    assert piece[:3] == ["a", "a+1", "b"] and piece[3] not in ("a", "a+1", "b")
