@@ -23,6 +23,7 @@ from .generators import an_graph
 from .graph import (
     WeightedDualGraph,
     cached_on_graph,
+    dot_quote,
     graph_is_negative_definite,
     make_graph,
     serialize_graph,
@@ -384,14 +385,31 @@ def same_configuration(g: WeightedDualGraph, reference: WeightedDualGraph) -> bo
 
 def _tree_canon(g: WeightedDualGraph) -> str:
     """Canonical string of the unweighted tree (AHU from the centers)."""
+    return min(_rooted_canon(g, c) for c in _tree_centers(g))
 
-    def rooted(v: int, parent: int | None) -> str:
-        children = sorted(
-            rooted(u, v) for u in g.neighbors(v) if u != parent
-        )
-        return "(" + "".join(children) + ")"
 
-    return min(rooted(c, None) for c in _tree_centers(g))
+def _rooted_canon(g: WeightedDualGraph, root: int) -> str:
+    """AHU string of the tree rooted at `root`: "(" + sorted child strings + ")".
+
+    Built from the leaves up in reverse breadth-first order, so deep trees
+    need no recursion.
+    """
+    parent: list[int | None] = [None] * g.n
+    order = [root]
+    for v in order:
+        for u in g.neighbors(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    children: list[list[str]] = [[] for _ in range(g.n)]
+    canon = ""
+    for v in reversed(order):
+        canon = "(" + "".join(sorted(children[v])) + ")"
+        children[v] = []  # only the joined string is needed from here on
+        p = parent[v]
+        if p is not None:
+            children[p].append(canon)
+    return canon
 
 
 def _tree_centers(g: WeightedDualGraph) -> list[int]:
@@ -460,8 +478,9 @@ def supergraph_dot(cert: DecompositionCertificate) -> str:
     lines = ["graph decomposition_supergraph {"]
     for vid, w in zip(sg.ids, sg.weights):
         style = "" if vid in original else ", style=filled, fillcolor=lightgrey"
-        lines.append(f'  "{vid}" [label="{vid} ({w})"{style}];')
+        label = dot_quote(f"{vid} ({w})")
+        lines.append(f"  {dot_quote(vid)} [label={label}{style}];")
     for i, j in sorted(sg.edges):
-        lines.append(f'  "{sg.ids[i]}" -- "{sg.ids[j]}";')
+        lines.append(f"  {dot_quote(sg.ids[i])} -- {dot_quote(sg.ids[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

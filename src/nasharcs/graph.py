@@ -170,15 +170,19 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
     for v in raw_vertices:
         if not isinstance(v, dict) or "id" not in v or "w" not in v:
             raise MalformedDocument(f"bad vertex entry {v!r}")
-        if not isinstance(v["id"], str) or not isinstance(v["w"], int):
+        vid, w = v["id"], v["w"]
+        # bool is a subclass of int, but `true` is not a weight
+        if not isinstance(vid, str) or not isinstance(w, int) or isinstance(w, bool):
             raise MalformedDocument(f"bad vertex entry {v!r}")
-        vertices.append((v["id"], v["w"]))
+        vertices.append((vid, w))
     edges = []
     for e in raw_edges:
         if not isinstance(e, list) or len(e) != 2:
             raise MalformedDocument(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
-    auxiliary = bool(document.get("auxiliary", False))
+    auxiliary = document.get("auxiliary", False)
+    if not isinstance(auxiliary, bool):
+        raise MalformedDocument(f"'auxiliary' must be true or false, got {auxiliary!r}")
     return make_graph(vertices, edges, auxiliary=auxiliary)
 
 
@@ -191,6 +195,11 @@ def serialize_graph(g: WeightedDualGraph) -> dict[str, Any]:
     if g.auxiliary:
         doc["auxiliary"] = True
     return doc
+
+
+def dot_quote(text: str) -> str:
+    """`text` as a double-quoted DOT id, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def cached_on_graph(fn: Callable[[WeightedDualGraph], T]) -> Callable[[WeightedDualGraph], T]:

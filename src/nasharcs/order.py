@@ -14,7 +14,7 @@ from typing import Any, Iterator
 
 from .cycles import Cycle, is_anti_nef, order_cycle_witness
 from .errors import EqualityDetected, InconsistentRelation, SameVertex
-from .graph import WeightedDualGraph, cached_on_graph
+from .graph import WeightedDualGraph, cached_on_graph, dot_quote
 
 
 class Verdict(enum.Enum):
@@ -172,9 +172,9 @@ def hasse_export(rm: RelationMatrix) -> str:
     g = rm.graph
     lines = ["digraph divisor_order {"]
     for vid in g.ids:
-        lines.append(f'  "{vid}";')
+        lines.append(f"  {dot_quote(vid)};")
     for i, j in hasse_edges(rm):
-        lines.append(f'  "{g.ids[i]}" -> "{g.ids[j]}";')
+        lines.append(f"  {dot_quote(g.ids[i])} -> {dot_quote(g.ids[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

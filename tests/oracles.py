@@ -1,14 +1,19 @@
 """Independent oracles used by the tests.
 
 Deliberately naive implementations (cofactor determinants, exhaustive
-anti-nef enumeration) that share no code path with the package's own
-algorithms.
+anti-nef enumeration, `Fraction` power series) that share no code path
+with the package's own algorithms.  Nothing here imports package code at
+run time; graphs are only read through their public fields.
 """
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction as Q
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from nasharcs.graph import WeightedDualGraph
+if TYPE_CHECKING:
+    from nasharcs.graph import WeightedDualGraph
 
 
 def cofactor_determinant(rows: list[list[Q]]) -> Q:
@@ -153,3 +158,105 @@ def graph_state(g: WeightedDualGraph) -> tuple[dict[str, int], dict[str, set[str
         adj[g.ids[i]].add(g.ids[j])
         adj[g.ids[j]].add(g.ids[i])
     return weight, adj
+
+
+# ---------------------------------------------------------------------------
+# a DOT double-quoted string: only \" and \\ are escapes here
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def dot_ids(line: str) -> list[str]:
+    """Unescaped quoted strings of one DOT line; no stray quote may remain."""
+    assert '"' not in DOT_STRING.sub("", line), line
+    return [re.sub(r"\\(.)", r"\1", m) for m in DOT_STRING.findall(line)]
+
+
+# ---------------------------------------------------------------------------
+# A_n arcs with truncated Fraction series: the sampler, evaluator and
+# separation check the package used before its series became integer.
+
+# the sampler's coefficient pools, as literals; the draw order matters
+REF_NONZERO_POOL = (Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(1, 2), Q(-1, 2), Q(2, 3))
+REF_POOL = REF_NONZERO_POOL + (Q(0), Q(0), Q(0))
+
+
+def ref_series_mul(a: Sequence[Q], b: Sequence[Q], order: int) -> tuple[Q, ...]:
+    out = [Q(0)] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j, bj in enumerate(b):
+            if i + j > order:
+                break
+            if bj != 0:
+                out[i + j] += ai * bj
+    return tuple(out)
+
+
+def ref_series_pow(a: Sequence[Q], k: int, order: int) -> tuple[Q, ...]:
+    """a^k by k full truncated products."""
+    out = tuple([Q(1)] + [Q(0)] * order)
+    for _ in range(k):
+        out = ref_series_mul(out, a, order)
+    return out
+
+
+def ref_series_inverse_unit(a: Sequence[Q], order: int) -> tuple[Q, ...]:
+    """Inverse of a series with nonzero constant term, mod t^(order+1)."""
+    inv = [Q(0)] * (order + 1)
+    inv[0] = 1 / a[0]
+    for k in range(1, order + 1):
+        acc = Q(0)
+        for i in range(1, min(k, len(a) - 1) + 1):
+            acc += a[i] * inv[k - i]
+        inv[k] = -acc / a[0]
+    return tuple(inv)
+
+
+def ref_sample_arc(n: int, i: int, trunc: int, seed: Any) -> tuple[tuple[Q, ...], ...]:
+    """(x, y, z) of the seeded arc of N_i on z^(n+1) = x y, through t^trunc."""
+    rng = random.Random(repr(("nasharcs-arc", n, i, trunc, seed)))
+    work = trunc + i
+    x = [Q(0)] * (work + 1)
+    x[i] = rng.choice(REF_NONZERO_POOL)
+    for k in range(i + 1, work + 1):
+        x[k] = rng.choice(REF_POOL)
+    z = [Q(0)] * (work + 1)
+    z[1] = rng.choice(REF_NONZERO_POOL)
+    for k in range(2, work + 1):
+        z[k] = rng.choice(REF_POOL)
+    zp = ref_series_pow(z, n + 1, work)
+    unit = tuple(x[i:])
+    shifted = tuple(zp[i:])
+    y = ref_series_mul(shifted, ref_series_inverse_unit(unit, trunc), trunc)
+    return tuple(x[: trunc + 1]), tuple(y[: trunc + 1]), tuple(z[: trunc + 1])
+
+
+def ref_evaluate(
+    coords: Sequence[Sequence[Q]], trunc: int, f: Mapping[tuple[int, int, int], Any]
+) -> tuple[Q, ...]:
+    """f(x(t), y(t), z(t)) mod t^(trunc+1) for coords = (x, y, z)."""
+    out = [Q(0)] * (trunc + 1)
+    for (ex, ey, ez), coeff in f.items():
+        term = tuple([Q(coeff)] + [Q(0)] * trunc)
+        for series, e in zip(coords, (ex, ey, ez)):
+            if e:
+                term = ref_series_mul(term, ref_series_pow(series, e, trunc), trunc)
+        for k, c in enumerate(term):
+            out[k] += c
+    return tuple(out)
+
+
+def ref_separation_failures(
+    n: int, i: int, j: int, samples: int, trunc: int, seed: Any
+) -> list[dict[str, Any]]:
+    """Counterexamples to x[i] != 0 on N_i and x[i] == 0 on N_j, from full arcs."""
+    bad = []
+    for s in range(samples):
+        x_i = ref_sample_arc(n, i, trunc, (seed, "i", s))[0]
+        x_j = ref_sample_arc(n, j, trunc, (seed, "j", s))[0]
+        if x_i[i] == 0:
+            bad.append({"family": i, "sample": s, "reason": "coefficient t^i of x is zero"})
+        if x_j[i] != 0:
+            bad.append({"family": j, "sample": s, "reason": "coefficient t^i of x is nonzero"})
+    return bad

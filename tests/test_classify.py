@@ -24,7 +24,7 @@ from nasharcs.generators import an_graph, dn_shape_graph, e6_graph
 from nasharcs.graph import make_graph, parse_graph
 from nasharcs.order import NashRelation, Verdict, an_relation
 
-from oracles import exhaustive_contraction_orders, graph_state
+from oracles import dot_ids, exhaustive_contraction_orders, graph_state
 
 
 def bamboo_322():
@@ -306,3 +306,50 @@ def test_same_configuration_relabelled():
         [(vid, 2) for vid in ids], [(ids[i], ids[j]) for i, j in edges]
     )
     assert same_configuration(a, b)
+
+
+BAMBOO_322_DOT = """graph decomposition_supergraph {
+  "v1" [label="v1 (3)"];
+  "v2" [label="v2 (2)"];
+  "v3" [label="v3 (2)"];
+  "v1+1" [label="v1+1 (1)", style=filled, fillcolor=lightgrey];
+  "v3+1" [label="v3+1 (1)", style=filled, fillcolor=lightgrey];
+  "v1" -- "v2";
+  "v1" -- "v1+1";
+  "v2" -- "v3";
+  "v3" -- "v3+1";
+}
+"""
+
+
+def test_supergraph_dot_plain_ids_unchanged():
+    assert supergraph_dot(decompose_minimal(bamboo_322(), "v1", "v3")) == BAMBOO_322_DOT
+
+
+def test_supergraph_dot_escapes_quotes_and_backslashes():
+    g = make_graph([('v"1', 3), ("v2\\", 2), ("v3", 2)], [('v"1', "v2\\"), ("v2\\", "v3")])
+    lines = supergraph_dot(decompose_minimal(g, 'v"1', "v3")).splitlines()
+    assert lines[1] == r'  "v\"1" [label="v\"1 (3)"];'
+    rename = {"v1": 'v"1', "v2": "v2\\", "v1+1": 'v"1+1'}
+    plain = BAMBOO_322_DOT.splitlines()
+    assert len(lines) == len(plain)
+    for line, old in zip(lines, plain):
+        expected = [rename.get(v, v) for v in dot_ids(old)]
+        if "label=" in old:  # the label repeats the id
+            expected[1] = f"{expected[0]} {expected[1].rsplit(' ', 1)[1]}"
+        assert dot_ids(line) == expected
+
+
+def test_same_configuration_deep_bamboo():
+    # one recursion level per vertex used to exceed the interpreter's limit
+    n = 3000
+    assert same_configuration(an_graph(n), an_graph(n))
+    ids = [f"u{k}" for k in range(n)]
+    random.Random(3).shuffle(ids)
+    relabelled = make_graph([(v, 2) for v in ids], list(zip(ids, ids[1:])))
+    assert same_configuration(an_graph(n), relabelled)
+    fork = make_graph(
+        [(f"w{k}", 2) for k in range(n)],
+        [(f"w{k}", f"w{k + 1}") for k in range(n - 2)] + [(f"w{n - 3}", f"w{n - 1}")],
+    )
+    assert not same_configuration(an_graph(n), fork)

@@ -199,3 +199,24 @@ def test_certify_minimal_with_plus_ids(tmp_path):
         if (p["alpha"], p["beta"]) == ("a+1", "b")
     )
     assert piece[:3] == ["a", "a+1", "b"] and piece[3] not in ("a", "a+1", "b")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # `true` is an int to Python; with "auxiliary" it used to round-trip as "w": true
+        {"vertices": [{"id": "a", "w": True}, {"id": "b", "w": 2}],
+         "edges": [["a", "b"]], "auxiliary": True},
+        # any non-empty string used to switch the flag on and admit weight 1
+        {"vertices": [{"id": "a", "w": 1}, {"id": "b", "w": 2}],
+         "edges": [["a", "b"]], "auxiliary": "false"},
+    ],
+    ids=["bool_weight", "string_auxiliary"],
+)
+def test_non_integer_json_values_exit_2(doc, tmp_path, capsys):
+    g = tmp_path / "bad.json"
+    g.write_text(json.dumps(doc))
+    code, out = run_json(["analyze", str(g)], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and out is None
+    assert "MalformedDocument" in err and "Traceback" not in err

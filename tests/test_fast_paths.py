@@ -2,12 +2,26 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as Q
 
 import pytest
 
-from nasharcs import classify
+from nasharcs import arcs, classify
+from nasharcs.arcs import (
+    POLY_X,
+    POLY_Y,
+    POLY_Z,
+    TruncatedArc,
+    contact_order,
+    defining_polynomial,
+    defining_residual,
+    evaluate,
+    sample_arc,
+    separation_check,
+)
 from nasharcs.classify import certify_minimal, decompose_minimal
 from nasharcs.cycles import order_cycle_witness, ray_basis, scale_to_integer
+from nasharcs.errors import TruncationTooSmall
 from nasharcs.generators import _tree_from_edges, an_graph, random_tree_edges
 from nasharcs.graph import (
     graph_is_negative_definite,
@@ -16,6 +30,13 @@ from nasharcs.graph import (
     make_graph,
 )
 from nasharcs.order import relation_matrix
+from oracles import (
+    ref_evaluate,
+    ref_sample_arc,
+    ref_separation_failures,
+    ref_series_mul,
+    ref_series_pow,
+)
 
 
 def _star(hub_first: bool, leaves: int, hub_weight: int = 2):
@@ -157,3 +178,123 @@ def test_memo_is_per_instance_and_outside_equality():
     ray_basis(a)
     assert a._memo and not b._memo
     assert a == b and hash(a) == hash(b)
+
+
+# --- A_n arcs: integer series against the Fraction reference -------------
+
+FRACTION_POLYS = (
+    {(2, 1, 0): Q(1, 3), (0, 0, 3): Q(-5, 7), (1, 0, 2): 2, (0, 0, 0): Q(1, 2)},
+    {(0, 2, 1): Q(7, 10), (3, 0, 0): -1, (1, 1, 1): Q(0)},
+    {(1, 1, 0): Q(-11, 4), (0, 0, 5): Q(3, 8)},
+)
+
+
+def _arc_cases():
+    """(n, i, trunc, seed): every family of n = 1..12 at the smallest,
+    the CLI's default and an odd truncation, each with its own seed."""
+    for n in range(1, 13):
+        for i in range(1, n + 1):
+            yield n, i, n + 2, 0
+            yield n, i, 2 * n + 5, ("odd", i)
+            yield n, i, 4 * (n + 1), ("cli", n * i)
+
+
+def test_sample_arc_matches_fraction_reference():
+    for n, i, trunc, seed in _arc_cases():
+        arc = sample_arc(n, i, trunc, seed)
+        ref = ref_sample_arc(n, i, trunc, seed)
+        assert (arc.x, arc.y, arc.z) == ref, (n, i, trunc, seed)
+        assert all(type(c) is Q for c in arc.x + arc.y + arc.z)
+        residual = defining_residual(arc)
+        assert residual == ref_evaluate(ref, trunc, defining_polynomial(n))
+        assert all(c == 0 for c in residual)
+
+
+def test_evaluate_matches_reference_on_sampled_arcs():
+    for n, i, trunc, seed in _arc_cases():
+        if n > 6:
+            break
+        arc = sample_arc(n, i, trunc, seed)
+        coords = (arc.x, arc.y, arc.z)
+        for f in (POLY_X, POLY_Y, POLY_Z) + FRACTION_POLYS:
+            assert evaluate(arc, f) == ref_evaluate(coords, trunc, f), (n, i, f)
+
+
+def _hand_built_arc(rng: random.Random) -> TruncatedArc:
+    """An arc with arbitrary rationals, not on the surface; its series may
+    be shorter or longer than trunc + 1 and may hold plain ints."""
+    trunc = rng.randint(0, 14)
+
+    def series():
+        out = []
+        for _ in range(rng.randint(0, trunc + 4)):
+            c = Q(rng.randint(-40, 40), rng.randint(1, 30))
+            out.append(c.numerator if c.denominator == 1 and rng.random() < 0.5 else c)
+        return tuple(out)
+
+    return TruncatedArc(n=2, family=1, trunc=trunc, x=series(), y=series(), z=series())
+
+
+def test_evaluate_matches_reference_on_hand_built_arcs():
+    rng = random.Random(4242)
+    for _ in range(150):
+        arc = _hand_built_arc(rng)
+        coords = (arc.x, arc.y, arc.z)
+        polys = (POLY_X, POLY_Y, POLY_Z, defining_polynomial(rng.randint(1, 6))) + FRACTION_POLYS
+        for f in polys:
+            got = evaluate(arc, f)
+            assert got == ref_evaluate(coords, arc.trunc, f)
+            assert len(got) == arc.trunc + 1 and all(type(c) is Q for c in got)
+        expected = ref_evaluate(coords, arc.trunc, defining_polynomial(arc.n))
+        assert defining_residual(arc) == expected
+        first = next((k for k, c in enumerate(expected) if c != 0), None)
+        assert contact_order(arc, defining_polynomial(arc.n)) == first
+
+
+def test_separation_check_matches_reference():
+    for n, i, j, trunc, seed in (
+        (2, 1, 2, 4, 0), (3, 1, 3, 16, 5), (5, 2, 4, 7, "s"), (8, 1, 8, 36, 9), (12, 6, 7, 14, 3),
+    ):
+        rep = separation_check(n, i, j, 6, trunc, seed)
+        bad = ref_separation_failures(n, i, j, 6, trunc, seed)
+        assert list(rep.counterexamples) == bad
+        assert rep.passed is (not bad)
+
+
+def test_separation_check_validates_truncation_only_when_sampling():
+    with pytest.raises(TruncationTooSmall):
+        separation_check(3, 1, 2, samples=1, trunc=4, seed=0)
+    assert separation_check(3, 1, 2, samples=0, trunc=4, seed=0).passed
+
+
+def test_unit_power_recurrence_matches_repeated_products():
+    rng = random.Random(77)
+    for _ in range(60):
+        order = rng.randint(0, 20)
+        v = [rng.choice((1, -1, 2, -3, 5))] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 25))]
+        m = rng.randint(0, 14)
+        expected = ref_series_pow([Q(c) for c in v], m, order)
+        assert arcs._unit_pow(v, m, order) == list(expected)
+        assert arcs._int_pow(v, m, order) == list(expected)
+        w = [rng.randint(-9, 9) for _ in range(rng.randint(0, 25))]
+        assert arcs._int_mul(v, w, order) == list(ref_series_mul(v, w, order))
+
+
+# --- tree canonical form: leaves-up loop against the recursive AHU form ----
+
+def _recursive_tree_canon(g) -> str:
+    def rooted(v, parent):
+        children = sorted(rooted(u, v) for u in g.neighbors(v) if u != parent)
+        return "(" + "".join(children) + ")"
+
+    return min(rooted(c, None) for c in classify._tree_centers(g))
+
+
+def test_tree_canon_matches_recursive_form():
+    rng = random.Random(515)
+    graphs = [an_graph(1), an_graph(2), _star(True, 5), _star(False, 3)]
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        graphs.append(_tree_from_edges(n, random_tree_edges(n, rng), [2] * n))
+    for g in graphs:
+        assert classify._tree_canon(g) == _recursive_tree_canon(g)

@@ -5,7 +5,7 @@ import pytest
 from nasharcs.cycles import is_anti_nef
 from nasharcs.errors import SameVertex
 from nasharcs.generators import an_graph, e6_graph
-from nasharcs.graph import make_graph
+from nasharcs.graph import make_graph, serialize_graph
 from nasharcs.order import (
     Verdict,
     an_relation,
@@ -15,6 +15,7 @@ from nasharcs.order import (
     relation_matrix,
     serialize_relation_matrix,
 )
+from oracles import dot_ids
 
 
 def test_relate_same_vertex():
@@ -175,3 +176,42 @@ def test_serialize_relation_matrix():
     assert sorted(doc["non_inclusions"]) == [["E1", "E2"], ["E2", "E1"]]
     for p in doc["pairs"]:
         assert p["verdict"] == "incomparable"
+
+
+E6_DOT = """digraph divisor_order {
+  "v1";
+  "v2";
+  "v3";
+  "v4";
+  "v5";
+  "v6";
+  "v1" -> "v2";
+  "v1" -> "v4";
+  "v2" -> "v3";
+  "v4" -> "v3";
+  "v5" -> "v2";
+  "v5" -> "v4";
+  "v6" -> "v2";
+  "v6" -> "v4";
+}
+"""
+
+
+def test_hasse_export_plain_ids_unchanged():
+    assert hasse_export(relation_matrix(e6_graph())) == E6_DOT
+
+
+def test_hasse_export_escapes_quotes_and_backslashes():
+    doc = serialize_graph(e6_graph())
+    rename = {"v1": 'v"1', "v2": "v2\\", "v5": 'say "hi"\\n'}
+    g = make_graph(
+        [(rename.get(v["id"], v["id"]), v["w"]) for v in doc["vertices"]],
+        [(rename.get(a, a), rename.get(b, b)) for a, b in doc["edges"]],
+    )
+    lines = hasse_export(relation_matrix(g)).splitlines()
+    assert lines[1] == r'  "v\"1";'
+    assert lines[2] == r'  "v2\\";'
+    plain = E6_DOT.splitlines()
+    assert len(lines) == len(plain)
+    for line, old in zip(lines, plain):
+        assert dot_ids(line) == [rename.get(v, v) for v in dot_ids(old)]
