@@ -5,111 +5,9 @@ of normal surface singularities: the divisorial order criterion, the
 bamboo decomposition of minimal graphs with propagation along dominant
 birational morphisms, and arc-level cross-validation for the weight-2
 bamboo singularities.
+
+The package re-exports nothing; import from its modules, such as
+`nasharcs.graph`, `nasharcs.classify` or `nasharcs.arcs`.
 """
 
 __version__ = "0.1.0"
-
-from .arcs import (
-    POLY_X,
-    POLY_Y,
-    POLY_Z,
-    TruncatedArc,
-    contact_order,
-    defining_polynomial,
-    sample_arc,
-    separation_check,
-)
-from .classify import (
-    Certificate,
-    ContractionTrace,
-    DecompositionCertificate,
-    certify_minimal,
-    contracts_to_empty,
-    decompose_minimal,
-    is_an,
-    is_minimal,
-    propagate,
-    same_configuration,
-)
-from .cycles import (
-    Cycle,
-    RayBasis,
-    arithmetic_genus,
-    fundamental_cycle,
-    is_anti_nef,
-    is_rational,
-    order_cycle_witness,
-    ray_basis,
-    serialize_ray_basis,
-)
-from .errors import NashArcsError
-from .generators import an_graph, dn_shape_graph, e6_graph
-from .graph import (
-    WeightedDualGraph,
-    intersection_matrix,
-    is_negative_definite,
-    make_graph,
-    parse_graph,
-    serialize_graph,
-)
-from .order import (
-    NashRelation,
-    RelationMatrix,
-    Verdict,
-    an_relation,
-    hasse_edges,
-    hasse_export,
-    relate,
-    relation_matrix,
-)
-from .rational import RationalMatrix
-
-__all__ = [
-    "__version__",
-    "POLY_X",
-    "POLY_Y",
-    "POLY_Z",
-    "Certificate",
-    "ContractionTrace",
-    "Cycle",
-    "DecompositionCertificate",
-    "NashArcsError",
-    "NashRelation",
-    "RationalMatrix",
-    "RayBasis",
-    "RelationMatrix",
-    "TruncatedArc",
-    "Verdict",
-    "WeightedDualGraph",
-    "an_graph",
-    "an_relation",
-    "arithmetic_genus",
-    "certify_minimal",
-    "contact_order",
-    "contracts_to_empty",
-    "decompose_minimal",
-    "defining_polynomial",
-    "dn_shape_graph",
-    "e6_graph",
-    "fundamental_cycle",
-    "hasse_edges",
-    "hasse_export",
-    "intersection_matrix",
-    "is_an",
-    "is_anti_nef",
-    "is_minimal",
-    "is_negative_definite",
-    "is_rational",
-    "make_graph",
-    "order_cycle_witness",
-    "parse_graph",
-    "propagate",
-    "ray_basis",
-    "relate",
-    "relation_matrix",
-    "same_configuration",
-    "sample_arc",
-    "separation_check",
-    "serialize_graph",
-    "serialize_ray_basis",
-]

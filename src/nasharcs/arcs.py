@@ -16,6 +16,7 @@ from typing import Any, Mapping, Sequence
 
 from .errors import (
     BadFamilyIndex,
+    BadParameter,
     SameVertex,
     TruncationTooSmall,
     ZeroPolynomial,
@@ -123,9 +124,6 @@ class TruncatedArc:
     y: Series
     z: Series
 
-    def coordinates(self) -> dict[str, Series]:
-        return {"x": self.x, "y": self.y, "z": self.z}
-
 
 def _draw_x(n: int, i: int, trunc: int, seed: Any) -> tuple[random.Random, list[int]]:
     """Seed the generator of an arc of N_i and draw _SCALE * x, with ord(x) = i.
@@ -195,16 +193,26 @@ def _clear_denominators(series: Sequence[Q | int], order: int) -> tuple[list[int
 
 
 def evaluate(arc: TruncatedArc, f: Poly) -> Series:
-    """f(x(t), y(t), z(t)) mod t^(trunc+1)."""
+    """f(x(t), y(t), z(t)) mod t^(trunc+1).
+
+    Every monomial key of f must be a tuple of three non-negative ints
+    (the exponents of x, y and z); any other key raises `BadParameter`.
+    """
     order = arc.trunc
     coords = (arc.x, arc.y, arc.z)
     cleared: dict[int, tuple[list[int], int]] = {}
     terms = []
-    for (ex, ey, ez), coeff in f.items():
+    for key, coeff in f.items():
+        if not (
+            isinstance(key, tuple)
+            and len(key) == 3
+            and all(isinstance(e, int) and e >= 0 for e in key)
+        ):
+            raise BadParameter(f"monomial key {key!r} is not three non-negative ints")
         c = Q(coeff)
         num = [c.numerator] + [0] * order
         den = c.denominator
-        for axis, e in enumerate((ex, ey, ez)):
+        for axis, e in enumerate(key):
             if e > 0:
                 if axis not in cleared:
                     cleared[axis] = _clear_denominators(coords[axis], order)
@@ -264,6 +272,8 @@ def separation_check(
         raise SameVertex("separation needs two distinct families")
     if not 1 <= i < j <= n:
         raise BadFamilyIndex(f"need 1 <= i < j <= n, got i={i}, j={j}")
+    if samples < 1:
+        raise BadParameter(f"sample count {samples} must be at least 1")
     bad: list[dict[str, Any]] = []
     for s in range(samples):
         _, x_i = _draw_x(n, i, trunc, (seed, "i", s))

@@ -26,6 +26,7 @@ from .graph import (
     dot_quote,
     graph_is_negative_definite,
     make_graph,
+    rooted,
     serialize_graph,
 )
 from .order import NashRelation, Verdict, an_relation, relation_matrix
@@ -164,11 +165,6 @@ class _LeafEmbedding:
 
 
 @cached_on_graph
-def _leaf_embeddings(g: WeightedDualGraph) -> dict[int, _LeafEmbedding]:
-    """Per-graph store of the embeddings built so far, keyed by z_1."""
-    return {}
-
-
 def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
     """Attach weight-1 vertices for the starting leaf z1, once per leaf.
 
@@ -176,9 +172,6 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
     to v is named "{v}+{k}" unless that id is taken, in which case the
     next free suffix is used.
     """
-    store = _leaf_embeddings(g)
-    if z1 in store:
-        return store[z1]
     vertices = list(zip(g.ids, g.weights))
     edges = [(g.ids[i], g.ids[j]) for i, j in sorted(g.edges)]
     taken = set(g.ids)
@@ -202,25 +195,20 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
 
     # one piece per weight-1 vertex: the path from z_1 to it, in the
     # order the weight-1 vertices were attached
+    order, parent = rooted(g, z1)
     trunk: list[tuple[str, ...]] = [()] * g.n
     trunk[z1] = (g.ids[z1],)
-    reached = [z1]
-    for v in reached:
-        for u in g.neighbors(v):
-            if not trunk[u]:
-                trunk[u] = trunk[v] + (g.ids[u],)
-                reached.append(u)
+    for v in order[1:]:
+        trunk[v] = trunk[parent[v]] + (g.ids[v],)
     pieces = tuple(trunk[v] + (aux_id,) for v in range(g.n) for aux_id in aux_of[v])
 
-    emb = _LeafEmbedding(
+    return _LeafEmbedding(
         supergraph=supergraph,
         attached=attached,
         pieces=pieces,
         piece_members=tuple(frozenset(p) for p in pieces),
         contraction=contracts_to_empty(supergraph),
     )
-    store[z1] = emb
-    return emb
 
 
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
@@ -394,21 +382,14 @@ def _rooted_canon(g: WeightedDualGraph, root: int) -> str:
     Built from the leaves up in reverse breadth-first order, so deep trees
     need no recursion.
     """
-    parent: list[int | None] = [None] * g.n
-    order = [root]
-    for v in order:
-        for u in g.neighbors(v):
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    order, parent = rooted(g, root)
     children: list[list[str]] = [[] for _ in range(g.n)]
     canon = ""
     for v in reversed(order):
         canon = "(" + "".join(sorted(children[v])) + ")"
         children[v] = []  # only the joined string is needed from here on
-        p = parent[v]
-        if p is not None:
-            children[p].append(canon)
+        if parent[v] >= 0:
+            children[parent[v]].append(canon)
     return canon
 
 

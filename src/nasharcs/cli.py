@@ -32,7 +32,7 @@ from .classify import (
     supergraph_dot,
 )
 from .cycles import fundamental_cycle, is_rational, ray_basis, serialize_ray_basis
-from .errors import NashArcsError
+from .errors import BadParameter, NashArcsError
 from .generators import an_graph
 from .graph import (
     WeightedDualGraph,
@@ -92,14 +92,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_order(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+def _order_report(g: WeightedDualGraph, args: argparse.Namespace) -> int:
     rm = relation_matrix(g)
     doc = {"header": _header(), "graph": serialize_graph(g)}
     doc.update(serialize_relation_matrix(rm))
     _write_dot(hasse_export(rm), args.dot)
     _emit(doc, args.out)
     return 1 if rm.open_pairs() else 0
+
+
+def cmd_order(args: argparse.Namespace) -> int:
+    return _order_report(_load_graph(args.graph), args)
 
 
 def cmd_certify_minimal(args: argparse.Namespace) -> int:
@@ -123,6 +126,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_an_arcs(args: argparse.Namespace) -> int:
     n, i = args.n, args.family
+    if args.samples < 1:
+        raise BadParameter(f"--samples {args.samples} must be at least 1")
     doc: dict[str, Any] = {
         "header": _header(seed=args.seed, trunc=args.trunc, samples=args.samples),
         "n": n,
@@ -155,13 +160,7 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
 
 
 def cmd_an_order(args: argparse.Namespace) -> int:
-    g = an_graph(args.n)
-    rm = relation_matrix(g)
-    doc = {"header": _header(), "graph": serialize_graph(g)}
-    doc.update(serialize_relation_matrix(rm))
-    _write_dot(hasse_export(rm), args.dot)
-    _emit(doc, args.out)
-    return 1 if rm.open_pairs() else 0
+    return _order_report(an_graph(args.n), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -66,7 +66,8 @@ class NotInImage(NashArcsError):
 
 
 class BadParameter(NashArcsError):
-    """Size or weight list of a built-in graph family out of range."""
+    """Parameter out of range: the size or weight list of a built-in graph
+    family, an arc sample count, or a polynomial's monomial key."""
 
 
 class BadFamilyIndex(NashArcsError):

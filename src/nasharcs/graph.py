@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import wraps
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .errors import BadWeight, MalformedDocument, NotATree
 from .rational import RationalMatrix, require_symmetric
@@ -26,10 +26,11 @@ class WeightedDualGraph:
     """Immutable weighted tree; vertices are dense indices 0..n-1 with string ids.
 
     Equality and hashing use the four data fields only.  Derived per-graph
-    data (adjacency, definiteness, fundamental cycle, ray basis, relation
-    table, ...) is memoized in `_memo`, a dict owned by this instance and
-    filled by functions decorated with `cached_on_graph`; it is dropped
-    with the graph, and a lookup never hashes or compares the graph.
+    data (adjacency, rooted walks, definiteness, fundamental cycle, ray
+    basis, relation table, ...) is memoized in `_memo`, a dict owned by
+    this instance and filled by functions decorated with `cached_on_graph`;
+    it is dropped with the graph, and a lookup never hashes or compares
+    the graph.
     """
 
     ids: tuple[str, ...]
@@ -63,23 +64,12 @@ class WeightedDualGraph:
             raise NotATree("graph must be a connected tree")
 
     def _connected(self) -> bool:
-        n = len(self.ids)
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # its own adjacency, so that construction leaves `_memo` empty
+        adj: list[list[int]] = [[] for _ in range(len(self.ids))]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        return count == n
+        return len(_walk(adj, 0)[0]) == len(self.ids)
 
     @property
     def n(self) -> int:
@@ -97,24 +87,12 @@ class WeightedDualGraph:
     def valence(self, i: int) -> int:
         return len(adjacency(self)[i])
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def leaves(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.valence(i) <= 1)
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
         """Unique tree path from i to j, endpoints included."""
-        parent = {i: None}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            if v == j:
-                break
-            for u in self.neighbors(v):
-                if u not in parent:
-                    parent[u] = v
-                    stack.append(u)
+        parent = rooted(self, i)[1]
         out = [j]
         while out[-1] != i:
             out.append(parent[out[-1]])
@@ -202,18 +180,39 @@ def dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def cached_on_graph(fn: Callable[[WeightedDualGraph], T]) -> Callable[[WeightedDualGraph], T]:
-    """Memoize a function of one graph in that graph's own `_memo`."""
+def cached_on_graph(fn: Callable[..., T]) -> Callable[..., T]:
+    """Memoize `fn(g, *args)` in the graph's own `_memo`, keyed on `(fn, *args)`."""
 
     @wraps(fn)
-    def wrapper(g: WeightedDualGraph) -> T:
+    def wrapper(g: WeightedDualGraph, *args: Any) -> T:
         memo = g._memo
-        if fn in memo:
-            return memo[fn]
-        out = memo[fn] = fn(g)
+        key = (fn, *args)
+        if key in memo:
+            return memo[key]
+        out = memo[key] = fn(g, *args)
         return out
 
     return wrapper
+
+
+def _walk(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the vertices reachable from `root`, and parents.
+
+    `parent[v]` is the vertex that reached v, -1 for the root and for
+    vertices not reached.  A seen-array marks visited vertices, so the
+    walk also ends on edge sets that have a cycle.
+    """
+    seen = [False] * len(adj)
+    parent = [-1] * len(adj)
+    seen[root] = True
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 @cached_on_graph
@@ -224,6 +223,13 @@ def adjacency(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
         out[i].append(j)
         out[j].append(i)
     return tuple(tuple(sorted(nbrs)) for nbrs in out)
+
+
+@cached_on_graph
+def rooted(g: WeightedDualGraph, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Breadth-first vertex order from `root`, and each vertex's parent (-1 at the root)."""
+    order, parent = _walk(adjacency(g), root)
+    return tuple(order), tuple(parent)
 
 
 @cached_on_graph
@@ -260,14 +266,7 @@ def graph_is_negative_definite(g: WeightedDualGraph) -> bool:
     -M is positive definite exactly when every pivot is > 0
     (Eisenbud-Neumann 1985).  O(n) exact operations, no dense matrix.
     """
-    adj = adjacency(g)
-    parent = [-1] * g.n
-    order = [0]
-    for v in order:
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    order, parent = rooted(g, 0)
     pivot = [Q(w) for w in g.weights]
     for v in reversed(order):
         if pivot[v] <= 0:

@@ -9,7 +9,7 @@ in the other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .cycles import Cycle, is_anti_nef, order_cycle_witness
@@ -70,27 +70,21 @@ class RelationMatrix:
     """Complete relation table for a graph, plus the proven non-inclusions."""
 
     graph: WeightedDualGraph
-    relations: tuple[tuple[tuple[int, int], NashRelation], ...]
-    _index: dict[tuple[int, int], NashRelation] = field(
-        init=False, compare=False, hash=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", dict(self.relations))
+    relations: dict[tuple[int, int], NashRelation]  # every ordered pair (i, j), i != j
 
     def get(self, i: int, j: int) -> NashRelation:
         try:
-            return self._index[i, j]
+            return self.relations[i, j]
         except KeyError:
             raise SameVertex(f"no relation stored for pair ({i}, {j})") from None
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], NashRelation]]:
-        return iter(self.relations)
+        return iter(self.relations.items())
 
     def non_inclusions(self) -> frozenset[tuple[int, int]]:
         """Ordered pairs (a, b) with a proof that closure(N_a) is not in closure(N_b)."""
         out = set()
-        for (i, j), rel in self.relations:
+        for (i, j), rel in self.relations.items():
             if rel.verdict in (Verdict.INCOMPARABLE, Verdict.LESS):
                 out.add((i, j))
         return frozenset(out)
@@ -140,26 +134,20 @@ def _verify_table(rm: RelationMatrix) -> None:
 @cached_on_graph
 def relation_matrix(g: WeightedDualGraph) -> RelationMatrix:
     """Relate every ordered pair and verify the table's coherence."""
-    relations = []
+    relations = {}
     for i in range(g.n):
         for j in range(i + 1, g.n):
             rel = relate(g, i, j)
-            relations.append(((i, j), rel))
-            relations.append(((j, i), rel.reversed()))
-    rm = RelationMatrix(graph=g, relations=tuple(relations))
+            relations[i, j] = rel
+            relations[j, i] = rel.reversed()
+    rm = RelationMatrix(graph=g, relations=relations)
     _verify_table(rm)
     return rm
 
 
-def less_pairs(rm: RelationMatrix) -> set[tuple[int, int]]:
-    return {
-        pair for pair, rel in rm.pairs() if rel.verdict is Verdict.LESS
-    }
-
-
 def hasse_edges(rm: RelationMatrix) -> list[tuple[int, int]]:
     """Transitive reduction of the strict order."""
-    less = less_pairs(rm)
+    less = {pair for pair, rel in rm.pairs() if rel.verdict is Verdict.LESS}
     out = []
     for (i, j) in sorted(less):
         if not any((i, k) in less and (k, j) in less for k in range(rm.graph.n)):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import nasharcs
 from nasharcs.arcs import (
     POLY_X,
     POLY_Y,
@@ -12,12 +17,14 @@ from nasharcs.arcs import (
     contact_order,
     defining_polynomial,
     defining_residual,
+    evaluate,
     sample_arc,
     separation_check,
     series_order,
 )
 from nasharcs.errors import (
     BadFamilyIndex,
+    BadParameter,
     SameVertex,
     TruncationTooSmall,
     ZeroPolynomial,
@@ -49,6 +56,28 @@ def test_contact_order_zero_polynomial():
         contact_order(simple_arc(), {})
     with pytest.raises(ZeroPolynomial):
         contact_order(simple_arc(), {(1, 0, 0): 0})
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (1.5, 0, 0), (1, 0), (0, 0, 1, 0)])
+def test_bad_monomial_key_rejected(key):
+    with pytest.raises(BadParameter):
+        evaluate(simple_arc(), {key: 1})
+    with pytest.raises(BadParameter):
+        contact_order(simple_arc(), {(1, 0, 0): 1, key: 1})
+
+
+def test_arcs_import_loads_no_graph_layer():
+    code = (
+        "import sys, nasharcs.arcs; "
+        "print(' '.join(m for m in sys.modules if m.startswith('nasharcs')))"
+    )
+    src = str(Path(nasharcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "nasharcs.arcs" in out
+    assert "nasharcs.classify" not in out and "nasharcs.rational" not in out
 
 
 def test_contact_order_composite_polynomial():

@@ -139,6 +139,17 @@ def test_an_arcs_separation(tmp_path):
     assert doc["separation"]["passed"] is True
 
 
+@pytest.mark.parametrize("samples", ["-4", "0"])
+@pytest.mark.parametrize("against", [[], ["--against", "2"]])
+def test_an_arcs_bad_sample_count_is_usage_error(samples, against, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code = main(["an-arcs", "--n", "3", "--family", "1", "--samples", samples,
+                 "--out", str(out)] + against)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "BadParameter" in err and "Traceback" not in err
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     code = main(["order", str(tmp_path / "nope.json")])
     assert code == 2

@@ -21,7 +21,7 @@ from nasharcs.arcs import (
 )
 from nasharcs.classify import certify_minimal, decompose_minimal
 from nasharcs.cycles import order_cycle_witness, ray_basis, scale_to_integer
-from nasharcs.errors import TruncationTooSmall
+from nasharcs.errors import BadParameter, TruncationTooSmall
 from nasharcs.generators import _tree_from_edges, an_graph, random_tree_edges
 from nasharcs.graph import (
     graph_is_negative_definite,
@@ -264,7 +264,9 @@ def test_separation_check_matches_reference():
 def test_separation_check_validates_truncation_only_when_sampling():
     with pytest.raises(TruncationTooSmall):
         separation_check(3, 1, 2, samples=1, trunc=4, seed=0)
-    assert separation_check(3, 1, 2, samples=0, trunc=4, seed=0).passed
+    for samples in (0, -4):
+        with pytest.raises(BadParameter):
+            separation_check(3, 1, 2, samples=samples, trunc=4, seed=0)
 
 
 def test_unit_power_recurrence_matches_repeated_products():

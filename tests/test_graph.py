@@ -69,6 +69,16 @@ def test_cycle_rejected():
         parse_graph(doc)
 
 
+def test_cycle_plus_isolated_vertex_rejected():
+    # n - 1 edges, so only the connectivity walk can reject it
+    doc = {
+        "vertices": [{"id": v, "w": 2} for v in "abcd"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+    }
+    with pytest.raises(NotATree):
+        parse_graph(doc)
+
+
 def test_bad_weight_rejected():
     with pytest.raises(BadWeight):
         parse_graph({"vertices": [{"id": "a", "w": 0}], "edges": []})
