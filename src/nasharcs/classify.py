@@ -394,25 +394,10 @@ def _rooted_canon(g: WeightedDualGraph, root: int) -> str:
 
 
 def _tree_centers(g: WeightedDualGraph) -> list[int]:
-    n = g.n
-    if n == 1:
-        return [0]
-    degree = [g.valence(i) for i in range(n)]
-    layer = [i for i in range(n) if degree[i] == 1]
-    removed = [False] * n
-    count = n
-    while count > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            count -= 1
-            for u in g.neighbors(v):
-                if not removed[u]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return [i for i in range(n) if not removed[i]]
+    """The middle vertex or two of a longest path, found by two walks."""
+    far = rooted(g, 0)[0][-1]  # the last vertex reached is a farthest one
+    path = g.path(far, rooted(g, far)[0][-1])
+    return sorted({path[(len(path) - 1) // 2], path[len(path) // 2]})
 
 
 def serialize_certificate(c: Certificate) -> dict[str, Any]:

@@ -32,7 +32,7 @@ from .classify import (
     supergraph_dot,
 )
 from .cycles import fundamental_cycle, is_rational, ray_basis, serialize_ray_basis
-from .errors import BadParameter, NashArcsError
+from .errors import BadParameter, MalformedDocument, NashArcsError
 from .generators import an_graph
 from .graph import (
     WeightedDualGraph,
@@ -43,9 +43,18 @@ from .graph import (
 from .order import hasse_export, relation_matrix, serialize_relation_matrix
 
 
+# longest arc series `an-arcs` will build; the cost grows much faster than
+# linearly (at n=3, one arc of 2000 terms takes about 19 times one of 1000)
+MAX_TRUNC = 1024
+
+
 def _load_graph(path: str) -> WeightedDualGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"not UTF-8 text: {exc}") from None
+    return parse_graph(text)
 
 
 def _emit(document: dict[str, Any], out: str | None) -> None:
@@ -128,15 +137,18 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
     n, i = args.n, args.family
     if args.samples < 1:
         raise BadParameter(f"--samples {args.samples} must be at least 1")
+    trunc = 4 * (n + 1) if args.trunc is None else args.trunc
+    if trunc > MAX_TRUNC:
+        raise BadParameter(f"truncation {trunc} is above the cap {MAX_TRUNC}")
     doc: dict[str, Any] = {
-        "header": _header(seed=args.seed, trunc=args.trunc, samples=args.samples),
+        "header": _header(seed=args.seed, trunc=trunc, samples=args.samples),
         "n": n,
         "family": i,
     }
     records = []
     ok = True
     for s in range(args.samples):
-        arc = sample_arc(n, i, args.trunc, (args.seed, s))
+        arc = sample_arc(n, i, trunc, (args.seed, s))
         orders = {
             "x": contact_order(arc, POLY_X),
             "y": contact_order(arc, POLY_Y),
@@ -152,7 +164,7 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
     doc["orders_match"] = ok
     if args.against is not None:
         lo, hi = sorted((i, args.against))
-        rep = separation_check(n, lo, hi, args.samples, args.trunc, args.seed)
+        rep = separation_check(n, lo, hi, args.samples, trunc, args.seed)
         doc["separation"] = rep.to_json()
         ok = ok and rep.passed
     _emit(doc, args.out)
@@ -203,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, required=True)
     p.add_argument("--against", type=int, help="run the separation check vs this family")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--trunc", type=int, default=None)
+    p.add_argument("--trunc", type=int,
+                   help=f"series truncation order, at most {MAX_TRUNC} (default 4*(n+1))")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_an_arcs)
@@ -223,8 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "trunc", None) is None and args.command == "an-arcs":
-        args.trunc = 4 * (args.n + 1)
     try:
         return args.func(args)
     except NashArcsError as exc:

@@ -23,7 +23,8 @@ from .graph import (
     adjacency,
     cached_on_graph,
     graph_is_negative_definite,
-    intersection_matrix,
+    rooted,
+    tree_pivots,
 )
 from .rational import RationalMatrix
 
@@ -103,10 +104,24 @@ class RayBasis:
 
 @cached_on_graph
 def ray_basis(g: WeightedDualGraph) -> RayBasis:
-    """Exact inverse of -M packaged as the cone's extreme rays."""
+    """Exact inverse of -M packaged as the cone's extreme rays.
+
+    Column k solves -M x = e_k by tree elimination rooted at k.  The
+    right-hand side stays zero below the root, so the reduced equations
+    read d(k) x_k = 1 and d(v) x_v = x_parent(v) with the tree pivots d:
+    O(n) exact operations per column.  (-M)^-1 is symmetric, so the
+    columns serve as the rows.
+    """
     _require_negative_definite(g)
-    inv = (-intersection_matrix(g)).inverse()
-    return RayBasis(matrix=inv)
+    columns = []
+    for k in range(g.n):
+        pivot, (order, parent) = tree_pivots(g, k), rooted(g, k)
+        x = [Q(0)] * g.n
+        x[k] = 1 / pivot[k]
+        for v in order[1:]:
+            x[v] = x[parent[v]] / pivot[v]
+        columns.append(x)
+    return RayBasis(matrix=RationalMatrix(columns))
 
 
 def scale_to_integer(column: Sequence[Q]) -> Cycle:

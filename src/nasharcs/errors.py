@@ -21,10 +21,6 @@ class NotSymmetric(NashArcsError):
     """Matrix operation requires a symmetric matrix."""
 
 
-class SingularMatrix(NashArcsError):
-    """Exact inversion hit a zero pivot."""
-
-
 class DimensionMismatch(NashArcsError):
     """Cycle or matrix dimensions disagree with the graph."""
 

@@ -135,6 +135,8 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise MalformedDocument("invalid JSON: nested too deeply") from None
     if not isinstance(document, dict):
         raise MalformedDocument("document must be a JSON object")
     try:
@@ -256,21 +258,26 @@ def is_negative_definite(m: RationalMatrix) -> bool:
     return all(d > 0 for d in (-m).leading_principal_minors())
 
 
-@cached_on_graph
-def graph_is_negative_definite(g: WeightedDualGraph) -> bool:
-    """-M positive definite, by leaf-to-root elimination on the tree.
+def tree_pivots(g: WeightedDualGraph, root: int) -> list[Q] | None:
+    """Pivots of leaf-to-root elimination on -M, rooted at `root`; None if one is <= 0.
 
-    Rooted at vertex 0, the pivots d(v) = w(v) - sum over the children c
-    of 1/d(c) are the ratios of successive leading principal minors of -M
-    in a leaves-first vertex order, which causes no fill-in on a tree; so
-    -M is positive definite exactly when every pivot is > 0
-    (Eisenbud-Neumann 1985).  O(n) exact operations, no dense matrix.
+    The pivots d(v) = w(v) - sum over the children c of 1/d(c) are the
+    ratios of successive leading principal minors of -M in a leaves-first
+    vertex order, which causes no fill-in on a tree; so -M is positive
+    definite exactly when every pivot is > 0, and then det(-M) is their
+    product (Eisenbud-Neumann 1985).  O(n) exact operations, no dense matrix.
     """
-    order, parent = rooted(g, 0)
+    order, parent = rooted(g, root)
     pivot = [Q(w) for w in g.weights]
     for v in reversed(order):
         if pivot[v] <= 0:
-            return False
+            return None
         if parent[v] >= 0:
             pivot[parent[v]] -= 1 / pivot[v]
-    return True
+    return pivot
+
+
+@cached_on_graph
+def graph_is_negative_definite(g: WeightedDualGraph) -> bool:
+    """-M positive definite, by the tree pivots rooted at vertex 0."""
+    return tree_pivots(g, 0) is not None

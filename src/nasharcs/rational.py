@@ -1,15 +1,16 @@
-"""Exact rational linear algebra.
+"""Exact rational matrices.
 
-Every definiteness verdict and every certificate witness in this package
-rests on matrix arithmetic done here, so everything is `fractions.Fraction`
-with arbitrary-precision integers; no floating point.
+Entries are `fractions.Fraction` with arbitrary-precision integers; no
+floating point.  The graph layers compute on the tree itself; a dense
+matrix here holds the ray basis and serves as the independent cross-check
+(Sylvester minors, matrix products).
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
+from .errors import DimensionMismatch, NotSymmetric
 
 
 class RationalMatrix:
@@ -105,28 +106,6 @@ class RationalMatrix:
     def leading_principal_minors(self) -> list[Q]:
         """Determinants of the leading principal blocks, sizes 1..n."""
         return [self.submatrix(k).determinant() for k in range(1, self.n + 1)]
-
-    def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
-        n = self.n
-        a = [list(row) for row in self._rows]
-        b = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            pivot_row = next((r for r in range(i, n) if a[r][i] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrix("matrix is singular")
-            if pivot_row != i:
-                a[i], a[pivot_row] = a[pivot_row], a[i]
-                b[i], b[pivot_row] = b[pivot_row], b[i]
-            inv = 1 / a[i][i]
-            a[i] = [x * inv for x in a[i]]
-            b[i] = [x * inv for x in b[i]]
-            for r in range(n):
-                if r != i and a[r][i] != 0:
-                    factor = a[r][i]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
-                    b[r] = [x - factor * y for x, y in zip(b[r], b[i])]
-        return RationalMatrix(b)
 
 
 def require_symmetric(m: RationalMatrix) -> None:

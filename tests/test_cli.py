@@ -231,3 +231,35 @@ def test_non_integer_json_values_exit_2(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out is None
     assert "MalformedDocument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000, b'{"vertices": [{"id": "\xff", "w": 2}], "edges": []}'],
+    ids=["nested_too_deeply", "not_utf8"],
+)
+def test_undecodable_graph_file_exits_2(content, tmp_path, capsys):
+    g = tmp_path / "bad.json"
+    g.write_bytes(content)
+    code, out = run_json(["analyze", str(g)], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and out is None
+    assert "MalformedDocument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "3", "--trunc", "1025"], ["--n", "300"]],
+    ids=["explicit", "default_of_large_n"],
+)
+def test_an_arcs_truncation_above_cap_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code = main(["an-arcs", "--family", "1", "--samples", "1", "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "BadParameter" in err and "1024" in err and "Traceback" not in err
+
+
+def test_an_arcs_help_states_truncation_cap(capsys):
+    assert main(["an-arcs", "--help"]) == 0
+    assert "at most 1024" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from nasharcs.graph import (
     make_graph,
 )
 from nasharcs.order import relation_matrix
+from nasharcs.rational import RationalMatrix
 from oracles import (
     ref_evaluate,
     ref_sample_arc,
@@ -81,6 +82,18 @@ def test_tree_pivots_on_weight_one_supergraphs(minimal_corpus):
         sg = decompose_minimal(g, g.ids[0], g.ids[-1]).supergraph
         assert graph_is_negative_definite(sg)
         assert is_negative_definite(intersection_matrix(sg))
+
+
+def test_tree_ray_basis_inverts_dense_matrix(indefinite_corpus, minimal_corpus):
+    # the definite members of the light-weight corpus, and weight-1
+    # supergraphs, which are larger and unimodular
+    graphs = [g for g in indefinite_corpus if is_negative_definite(intersection_matrix(g))]
+    for g in minimal_corpus[:12]:
+        graphs.append(decompose_minimal(g, g.ids[0], g.ids[-1]).supergraph)
+    assert len(graphs) >= 80
+    for g in graphs:
+        rays = ray_basis(g)
+        assert (-intersection_matrix(g)) @ rays.matrix == RationalMatrix.identity(g.n), g
 
 
 def _first_separating_column(g, i, j):
