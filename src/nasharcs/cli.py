@@ -8,9 +8,9 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterator
 
 from . import __version__
 from .arcs import (
@@ -57,13 +57,101 @@ def _load_graph(path: str) -> WeightedDualGraph:
     return parse_graph(text)
 
 
+# characters gathered before one write; a write can exceed it by one piece
+CHUNK = 1 << 20
+
+
+def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
+    """JSON text of a scalar, an empty container or an array of only ints
+    or only strs; None for any other array or object.
+
+    `nl` is a newline plus the indent of the line `value` starts on.  An
+    array is made by one `str.join`; the text of an int array is kept in
+    `memo`, because a report repeats the same few ray columns in every pair.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        inner = nl + "  "
+        if kinds == {int}:
+            key = (inner, tuple(value))
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = (
+                    "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return text
+        if kinds == {str}:
+            return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + nl + "]"
+        return None
+    if isinstance(value, dict):
+        return None if value else "{}"
+    # a float lands here too: no report holds one
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _pieces(value: Any, nl: str, memo: dict[tuple, str]) -> Iterator[str]:
+    """Yield json.dumps(value, indent=2, sort_keys=True) in pieces, for
+    a `value` that `_leaf` does not write in one."""
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        head = "{" + inner
+        close = nl + "}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = ((encode_basestring_ascii(k) + ": ", value[k]) for k in sorted(value))
+    else:
+        head = "[" + inner
+        close = nl + "]"
+        items = (("", item) for item in value)
+    for label, item in items:
+        text = _leaf(item, inner, memo)
+        if text is None:
+            yield head + label
+            yield from _pieces(item, inner, memo)
+        else:
+            yield head + label + text
+        head = sep
+    yield close
+
+
+def _write_json(document: Any, write: Callable[[str], Any]) -> None:
+    buf: list[str] = []
+    size = 0
+    memo: dict[tuple, str] = {}
+    text = _leaf(document, "\n", memo)
+    for piece in [text] if text is not None else _pieces(document, "\n", memo):
+        buf.append(piece)
+        size += len(piece)
+        if size >= CHUNK:
+            write("".join(buf))
+            buf.clear()
+            size = 0
+    buf.append("\n")
+    write("".join(buf))
+
+
 def _emit(document: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True)
+    """Write `json.dumps(document, indent=2, sort_keys=True)` and a newline.
+
+    The text goes to the file `out`, or to stdout, in writes of about
+    `CHUNK` characters, so the whole report is never one string.
+    """
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _write_json(document, fh.write)
     else:
-        print(text)
+        _write_json(document, sys.stdout.write)
 
 
 def _write_dot(text: str, path: str | None) -> None:

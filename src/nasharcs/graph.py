@@ -154,6 +154,11 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
         # bool is a subclass of int, but `true` is not a weight
         if not isinstance(vid, str) or not isinstance(w, int) or isinstance(w, bool):
             raise MalformedDocument(f"bad vertex entry {v!r}")
+        # JSON escapes can spell a lone surrogate, which no UTF-8 output can hold
+        try:
+            vid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedDocument(f"vertex id {vid!r} is not valid Unicode") from None
         vertices.append((vid, w))
     edges = []
     for e in raw_edges:

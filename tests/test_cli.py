@@ -263,3 +263,25 @@ def test_an_arcs_truncation_above_cap_is_usage_error(argv, tmp_path, capsys):
 def test_an_arcs_help_states_truncation_cap(capsys):
     assert main(["an-arcs", "--help"]) == 0
     assert "at most 1024" in capsys.readouterr().out
+
+
+# JSON's "\ud800" escape decodes to a lone surrogate, which UTF-8 cannot encode
+LONE_SURROGATE = {"vertices": [{"id": "\ud800", "w": 2}, {"id": "b", "w": 2}],
+                  "edges": [["\ud800", "b"]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["order", "--dot", "h.dot"],
+     ["decompose", "--x", "\ud800", "--y", "b", "--dot", "h.dot"],
+     ["analyze"]],
+    ids=["order_dot", "decompose_dot", "analyze"],
+)
+def test_lone_surrogate_vertex_id_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    g = tmp_path / "bad.json"
+    g.write_text(json.dumps(LONE_SURROGATE))
+    code, out = run_json([argv[0], str(g), *argv[1:]], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and out is None and not (tmp_path / "h.dot").exists()
+    assert "MalformedDocument" in err and "Traceback" not in err

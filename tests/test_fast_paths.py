@@ -1,12 +1,13 @@
 """Differential tests: each fast path against the slow exact path it replaced."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from nasharcs import arcs, classify
+from nasharcs import arcs, classify, cli
 from nasharcs.arcs import (
     POLY_X,
     POLY_Y,
@@ -28,6 +29,7 @@ from nasharcs.graph import (
     intersection_matrix,
     is_negative_definite,
     make_graph,
+    serialize_graph,
 )
 from nasharcs.order import relation_matrix
 from nasharcs.rational import RationalMatrix
@@ -38,6 +40,7 @@ from oracles import (
     ref_series_mul,
     ref_series_pow,
 )
+from test_golden import ARC_CASES, CASES, GOLDEN
 
 
 def _star(hub_first: bool, leaves: int, hub_weight: int = 2):
@@ -313,3 +316,109 @@ def test_tree_canon_matches_recursive_form():
         graphs.append(_tree_from_edges(n, random_tree_edges(n, rng), [2] * n))
     for g in graphs:
         assert classify._tree_canon(g) == _recursive_tree_canon(g)
+
+
+# --- report emitter: chunked writer against json.dumps(indent=2) -----------
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _reports(monkeypatch, tmp_path, negdef_corpus) -> list:
+    """The documents the CLI hands to `_emit` for the golden graphs and
+    `an-arcs` argument sets, and for `analyze` and `order` on `negdef_corpus`."""
+    docs: list = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+    for name, command in CASES:
+        assert cli.main([command, str(GOLDEN / f"{name}.graph.json")]) == 0
+    for args, code in ARC_CASES.values():
+        assert cli.main(["an-arcs", *args]) == code
+    path = tmp_path / "g.json"
+    for g in negdef_corpus:
+        path.write_text(json.dumps(serialize_graph(g)))
+        for command in ("analyze", "order"):
+            assert cli.main([command, str(path)]) in (0, 1)
+    monkeypatch.undo()
+    return docs
+
+
+# characters JSON escapes, lone and paired surrogates, and characters whose
+# escaped form sorts differently from the raw one (escaped, "\u00e9" sorts before "~")
+_CHARS = ["a", "b", "~", "\x7f", "\u00e9", "\x00", "\n", '"', "\\", "/",
+          "\ud800", "\udfff", "\uffff", "\U0001f600", "\u2028"]
+_INTS = [0, 1, -1, 7, -42, 2**63, 2**64 + 5, -(2**70), 10**40]
+
+
+def _random_str(rng: random.Random) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 4)))
+
+
+def _random_value(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.35:
+        return rng.choice([None, True, False, rng.choice(_INTS), _random_str(rng)])
+    if roll < 0.5:
+        ints = [rng.choice(_INTS) for _ in range(rng.randint(0, 6))]
+        if ints and rng.random() < 0.3:
+            ints[rng.randrange(len(ints))] = rng.choice([True, False, None])
+        return ints if rng.random() < 0.7 else tuple(ints)
+    if roll < 0.6:
+        return [_random_str(rng) for _ in range(rng.randint(0, 4))]
+    if roll < 0.8:
+        items = [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return items if rng.random() < 0.7 else tuple(items)
+    return {_random_str(rng): _random_value(rng, depth + 1) for _ in range(rng.randint(0, 5))}
+
+
+def _random_documents(count: int) -> list:
+    rng = random.Random(6060)
+    docs = [{}, {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+            {k: k for k in ("~", "\u00e9", "\uffff", "\U0001f600", "\\", "\x7f")}]
+    while len(docs) < count:
+        docs.append({_random_str(rng): _random_value(rng, 1) for _ in range(rng.randint(0, 6))})
+    return docs
+
+
+def test_emit_matches_json_dumps(monkeypatch, tmp_path, capsys, negdef_corpus):
+    reports = _reports(monkeypatch, tmp_path, negdef_corpus)
+    assert len(reports) == len(CASES) + len(ARC_CASES) + 2 * len(negdef_corpus)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    for doc in reports + _random_documents(500):
+        expected = _dumps(doc)
+        cli._emit(doc, str(out))
+        assert out.read_bytes() == expected.encode("utf-8")
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": 1.5}, {"a": [1, 2.0]}, {"a": {"b": [{"c": float("nan")}]}},
+     {1: 2}, {"a": {(1,): 2}}, {"a": 1, 2: 3}],
+    ids=["float", "float_in_int_array", "nested_nan", "int_key", "tuple_key", "mixed_keys"],
+)
+def test_emit_rejects_float_and_non_str_key(doc, tmp_path):
+    with pytest.raises(TypeError):
+        cli._emit(doc, str(tmp_path / "out.json"))
+
+
+def test_emit_writes_in_bounded_chunks(monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.writes: list[str] = []
+
+        def write(self, text: str) -> int:
+            self.writes.append(text)
+            return len(text)
+
+    rng = random.Random(77)
+    doc = {"pairs": [{"i": str(k), "w": [rng.randrange(10**6) for _ in range(40)]}
+                     for k in range(8000)]}
+    largest = max(map(len, cli._pieces(doc, "\n", {})))
+    stream = Recorder()
+    monkeypatch.setattr("sys.stdout", stream)
+    cli._emit(doc, None)
+    assert "".join(stream.writes) == _dumps(doc)
+    assert len(stream.writes) >= 3
+    assert max(map(len, stream.writes)) < cli.CHUNK + largest

@@ -31,4 +31,7 @@ def test_trace_driver_runs_analyze(tmp_path):
     assert doc["exit"] == 0
     assert "cycles.ray_basis" not in doc["missing"]
     assert "order.relation_matrix" not in doc["missing"]
+    # the benchmark's cli.emit_s layer is the time inside these spans
+    assert "cli.emit" not in doc["missing"]
+    assert [span for span in doc["spans"] if span[0] == "cli.emit"]
     assert doc["counts"]["cycles.ray_max_bits"] > 0
