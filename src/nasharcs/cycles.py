@@ -1,15 +1,17 @@
 """Exceptional cycles over a resolution graph.
 
-Cycles are integer (or exact rational) coefficient vectors over the
-graph's vertices.  This module provides the anti-nef test, the
-fundamental cycle, the extreme rays of the anti-nef cone, integer
-witness cycles for order comparisons, and Artin's rationality criterion.
+Cycles are integer coefficient vectors over the graph's vertices.  This
+module provides the anti-nef test, the fundamental cycle, the extreme
+rays of the anti-nef cone (as det(-M) and the integer columns of
+det(-M) (-M)^-1), integer witness cycles for order comparisons, and
+Artin's rationality criterion.  All of it is integer arithmetic; rays
+become rational only as the "p/q" strings of a report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -24,9 +26,8 @@ from .graph import (
     cached_on_graph,
     graph_is_negative_definite,
     rooted,
-    tree_pivots,
+    tree_determinants,
 )
-from .rational import RationalMatrix
 
 Cycle = tuple[int, ...]
 
@@ -80,61 +81,59 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
 
 @dataclass(frozen=True)
 class RayBasis:
-    """Columns of (-M)^-1: column k is the cycle Z_k with Z_k . E_l = -delta_kl.
+    """(-M)^-1 as det(-M) and the integer columns of det(-M) (-M)^-1.
 
+    Column k over `det` is the cycle Z_k with Z_k . E_l = -delta_kl.
     These columns generate the anti-nef cone; for a connected
-    negative-definite graph every entry is strictly positive.
+    negative-definite graph every entry is strictly positive.  (-M)^-1
+    is symmetric, so the columns serve as the rows.
     """
 
-    matrix: RationalMatrix
+    det: int
+    columns: tuple[Cycle, ...]
 
     @property
-    def n(self) -> int:
-        return self.matrix.n
+    def matrix(self) -> "RayBasis":
+        """Read-only view for external `matrix.rows()` readers."""
+        return self
 
-    def entry(self, vertex: int, ray: int) -> Q:
-        return self.matrix[vertex, ray]
-
-    def column(self, ray: int) -> tuple[Q, ...]:
-        return self.matrix.column(ray)
-
-    def row(self, vertex: int) -> tuple[Q, ...]:
-        return self.matrix.row(vertex)
+    def rows(self) -> tuple[tuple[Q, ...], ...]:
+        """The entries as reduced `Fraction`s e/det; the package never uses this."""
+        return tuple(tuple(Q(e, self.det) for e in column) for column in self.columns)
 
 
 @cached_on_graph
 def ray_basis(g: WeightedDualGraph) -> RayBasis:
-    """Exact inverse of -M packaged as the cone's extreme rays.
+    """det(-M) (-M)^-1 by one subtree-determinant pass per column.
 
-    Column k solves -M x = e_k by tree elimination rooted at k.  The
-    right-hand side stays zero below the root, so the reduced equations
-    read d(k) x_k = 1 and d(v) x_v = x_parent(v) with the tree pivots d:
-    O(n) exact operations per column.  (-M)^-1 is symmetric, so the
-    columns serve as the rows.
+    Column k solves -M x = det e_k by tree elimination rooted at k, with
+    the subtree determinants D and their child products B of that
+    rooting.  The right-hand side stays zero below the root, so
+    x_k = B(k) and x_v = x_parent(v) B(v) / D(v), an exact division:
+    each entry is a product of subtree determinants (Eisenbud-Neumann
+    1985).  O(n) integer operations per column.
     """
     _require_negative_definite(g)
     columns = []
     for k in range(g.n):
-        pivot, (order, parent) = tree_pivots(g, k), rooted(g, k)
-        x = [Q(0)] * g.n
-        x[k] = 1 / pivot[k]
+        (sub, below), (order, parent) = tree_determinants(g, k), rooted(g, k)
+        x = [0] * g.n
+        x[k] = below[k]
         for v in order[1:]:
-            x[v] = x[parent[v]] / pivot[v]
-        columns.append(x)
-    return RayBasis(matrix=RationalMatrix(columns))
-
-
-def scale_to_integer(column: Sequence[Q]) -> Cycle:
-    """Smallest positive integer multiple of a rational cycle."""
-    mult = lcm(*(Q(c).denominator for c in column)) if column else 1
-    return tuple(int(Q(c) * mult) for c in column)
+            x[v] = x[parent[v]] // sub[v] * below[v]
+        columns.append(tuple(x))
+    # every rooting gives the same det(-M) at its root
+    return RayBasis(det=sub[k], columns=tuple(columns))
 
 
 @cached_on_graph
 def integer_rays(g: WeightedDualGraph) -> tuple[Cycle, ...]:
-    """The ray columns, each cleared of denominators."""
-    rays = ray_basis(g)
-    return tuple(scale_to_integer(rays.column(k)) for k in range(g.n))
+    """The ray columns, each divided by the gcd of its entries."""
+    out = []
+    for column in ray_basis(g).columns:
+        common = gcd(*column)
+        out.append(tuple(e // common for e in column))
+    return tuple(out)
 
 
 def order_cycle_witness(g: WeightedDualGraph, i: int, j: int) -> Cycle | None:
@@ -154,10 +153,10 @@ def order_cycle_witness(g: WeightedDualGraph, i: int, j: int) -> Cycle | None:
     return None
 
 
-def intersection_number(g: WeightedDualGraph, a: Sequence[int], b: Sequence[int]) -> Q:
-    """Exact value of a . b in the intersection lattice."""
+def intersection_number(g: WeightedDualGraph, a: Sequence[int], b: Sequence[int]) -> int:
+    """a . b in the intersection lattice."""
     prod = intersection_products(g, b)
-    return sum(Q(x) * p for x, p in zip(a, prod))
+    return sum(x * p for x, p in zip(a, prod))
 
 
 def canonical_degrees(g: WeightedDualGraph) -> Cycle:
@@ -165,20 +164,28 @@ def canonical_degrees(g: WeightedDualGraph) -> Cycle:
     return tuple(w - 2 for w in g.weights)
 
 
-def arithmetic_genus(g: WeightedDualGraph, z: Sequence[int]) -> Q:
-    """p_a(Z) = 1 + (Z.Z + Z.K) / 2."""
+def arithmetic_genus(g: WeightedDualGraph, z: Sequence[int]) -> int:
+    """p_a(Z) = 1 + (Z.Z + Z.K) / 2.
+
+    The division is exact: Z.Z and Z.K are both congruent to
+    sum w(i) z_i mod 2, so their sum is even.
+    """
     zc = _check_cycle(g, z)
     zz = intersection_number(g, zc, zc)
-    zk = sum(Q(c) * d for c, d in zip(zc, canonical_degrees(g)))
-    return 1 + (zz + zk) / 2
+    zk = sum(c * d for c, d in zip(zc, canonical_degrees(g)))
+    return 1 + (zz + zk) // 2
 
 
 def serialize_ray_basis(rays: RayBasis) -> list[list[str]]:
-    """Columns as arrays of rational strings "p/q"."""
-    return [
-        [f"{c.numerator}/{c.denominator}" for c in rays.column(k)]
-        for k in range(rays.n)
-    ]
+    """Columns as arrays of reduced rational strings "p/q", entry over det."""
+    out = []
+    for column in rays.columns:
+        cells = []
+        for e in column:
+            common = gcd(e, rays.det)
+            cells.append(f"{e // common}/{rays.det // common}")
+        out.append(cells)
+    return out
 
 
 @cached_on_graph

@@ -17,12 +17,8 @@ class BadWeight(NashArcsError):
     """Vertex weight below the allowed minimum."""
 
 
-class NotSymmetric(NashArcsError):
-    """Matrix operation requires a symmetric matrix."""
-
-
 class DimensionMismatch(NashArcsError):
-    """Cycle or matrix dimensions disagree with the graph."""
+    """Cycle length disagrees with the graph."""
 
 
 class ZeroCycle(NashArcsError):

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from functools import wraps
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .errors import BadWeight, MalformedDocument, NotATree
-from .rational import RationalMatrix, require_symmetric
 
 
 T = TypeVar("T")
@@ -162,7 +160,8 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
         vertices.append((vid, w))
     edges = []
     for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2:
+        # an array or object endpoint would reach the id lookup unhashable
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
             raise MalformedDocument(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
     auxiliary = document.get("auxiliary", False)
@@ -245,44 +244,38 @@ def vertex_index(g: WeightedDualGraph) -> dict[str, int]:
     return {vid: k for k, vid in enumerate(g.ids)}
 
 
-def intersection_matrix(g: WeightedDualGraph) -> RationalMatrix:
-    """M[i][i] = -w(i); M[i][j] = 1 iff i--j is an edge."""
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -g.weights[i]
-    for i, j in g.edges:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return RationalMatrix(rows)
+def tree_determinants(
+    g: WeightedDualGraph, root: int
+) -> tuple[list[int], list[int]] | None:
+    """Subtree determinants of -M rooted at `root`; None if -M is not definite.
 
-
-def is_negative_definite(m: RationalMatrix) -> bool:
-    """Sylvester criterion on -M with exact minors."""
-    require_symmetric(m)
-    return all(d > 0 for d in (-m).leading_principal_minors())
-
-
-def tree_pivots(g: WeightedDualGraph, root: int) -> list[Q] | None:
-    """Pivots of leaf-to-root elimination on -M, rooted at `root`; None if one is <= 0.
-
-    The pivots d(v) = w(v) - sum over the children c of 1/d(c) are the
-    ratios of successive leading principal minors of -M in a leaves-first
-    vertex order, which causes no fill-in on a tree; so -M is positive
-    definite exactly when every pivot is > 0, and then det(-M) is their
-    product (Eisenbud-Neumann 1985).  O(n) exact operations, no dense matrix.
+    Returns (D, B): D(v) is det(-M) of the subtree at v and B(v) the
+    product of D over v's children, so D(v) = w(v) B(v) - S(v) with
+    S(v) = sum over the children c of B(c) B(v) / D(c) (`off` below).  D(v) / B(v) is
+    the pivot of leaf-to-root elimination, which causes no fill-in on a
+    tree; so -M is positive definite exactly when every D(v) > 0, and
+    then det(-M) = D(root) (Eisenbud-Neumann 1985).  One leaf-to-root
+    pass over integers: each finished child c folds into its parent p
+    as S(p) <- S(p) D(c) + B(c) B(p) and B(p) <- B(p) D(c), so not even
+    a division is needed.
     """
     order, parent = rooted(g, root)
-    pivot = [Q(w) for w in g.weights]
+    det = [0] * g.n
+    below = [1] * g.n
+    off = [0] * g.n
     for v in reversed(order):
-        if pivot[v] <= 0:
+        d = g.weights[v] * below[v] - off[v]
+        if d <= 0:
             return None
-        if parent[v] >= 0:
-            pivot[parent[v]] -= 1 / pivot[v]
-    return pivot
+        det[v] = d
+        p = parent[v]
+        if p >= 0:
+            off[p] = off[p] * d + below[v] * below[p]
+            below[p] *= d
+    return det, below
 
 
 @cached_on_graph
 def graph_is_negative_definite(g: WeightedDualGraph) -> bool:
-    """-M positive definite, by the tree pivots rooted at vertex 0."""
-    return tree_pivots(g, 0) is not None
+    """-M positive definite, by the subtree determinants rooted at vertex 0."""
+    return tree_determinants(g, 0) is not None

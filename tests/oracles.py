@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
-Deliberately naive implementations (cofactor determinants, exhaustive
-anti-nef enumeration, `Fraction` power series) that share no code path
-with the package's own algorithms.  Nothing here imports package code at
+Deliberately naive implementations (dense intersection matrices,
+cofactor and `Fraction` Gaussian determinants, the Sylvester check,
+exhaustive anti-nef enumeration, `Fraction` power series) that share no
+code path with the package's own algorithms.  Nothing here imports package code at
 run time; graphs are only read through their public fields.
 """
 from __future__ import annotations
@@ -45,7 +46,42 @@ def negative_definite_by_minors(rows: list[list[Q]]) -> bool:
     return True
 
 
-def _intersection_rows(g: WeightedDualGraph) -> list[list[int]]:
+def gaussian_determinant(rows: Sequence[Sequence[Any]]) -> Q:
+    """Determinant by `Fraction`-exact dense Gaussian elimination."""
+    n = len(rows)
+    a = [[Q(x) for x in row] for row in rows]
+    assert all(len(row) == n for row in a), "matrix must be square"
+    det = Q(1)
+    for i in range(n):
+        pivot_row = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if pivot_row is None:
+            return Q(0)
+        if pivot_row != i:
+            a[i], a[pivot_row] = a[pivot_row], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            if a[r][i] != 0:
+                factor = a[r][i] / a[i][i]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+def leading_principal_minors(rows: Sequence[Sequence[Any]]) -> list[Q]:
+    """Gaussian determinants of the leading principal blocks, sizes 1..n."""
+    return [
+        gaussian_determinant([row[:k] for row in rows[:k]])
+        for k in range(1, len(rows) + 1)
+    ]
+
+
+def negative_definite_by_sylvester(rows: Sequence[Sequence[Any]]) -> bool:
+    """Sylvester on -M with dense Gaussian minors."""
+    return all(d > 0 for d in leading_principal_minors([[-x for x in row] for row in rows]))
+
+
+def intersection_rows(g: WeightedDualGraph) -> list[list[int]]:
+    """Dense M: M[i][i] = -w(i), M[i][j] = 1 iff i--j is an edge."""
     n = g.n
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -70,7 +106,7 @@ def enumerate_anti_nef(g: WeightedDualGraph, max_coeff: int = 12) -> list[tuple[
     rest.  So the admissible values of c form one interval.
     """
     n = g.n
-    rows = _intersection_rows(g)
+    rows = intersection_rows(g)
     nbrs = [list(g.neighbors(i)) for i in range(n)]
     # rows whose bound involves vertex k and whose own vertex is assigned by then
     touched: list[list[int]] = [
@@ -116,7 +152,7 @@ def minimal_anti_nef_by_enumeration(
 
 
 def anti_nef_naive(g: WeightedDualGraph, z: tuple[int, ...]) -> bool:
-    rows = _intersection_rows(g)
+    rows = intersection_rows(g)
     return all(
         sum(a * b for a, b in zip(row, z)) <= 0 for row in rows
     )

@@ -221,8 +221,13 @@ def test_certify_minimal_with_plus_ids(tmp_path):
         # any non-empty string used to switch the flag on and admit weight 1
         {"vertices": [{"id": "a", "w": 1}, {"id": "b", "w": 2}],
          "edges": [["a", "b"]], "auxiliary": "false"},
+        # an unhashable endpoint used to crash the id lookup with a TypeError
+        {"vertices": [{"id": "a", "w": 2}, {"id": "b", "w": 2}],
+         "edges": [[["x"], "b"]]},
+        {"vertices": [{"id": "a", "w": 2}, {"id": "b", "w": 2}],
+         "edges": [["a", {"id": "b"}]]},
     ],
-    ids=["bool_weight", "string_auxiliary"],
+    ids=["bool_weight", "string_auxiliary", "array_endpoint", "object_endpoint"],
 )
 def test_non_integer_json_values_exit_2(doc, tmp_path, capsys):
     g = tmp_path / "bad.json"

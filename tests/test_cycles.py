@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from nasharcs.cycles import (
     arithmetic_genus,
+    canonical_degrees,
     fundamental_cycle,
+    integer_rays,
+    intersection_number,
     is_anti_nef,
     is_rational,
     order_cycle_witness,
     ray_basis,
-    scale_to_integer,
 )
 from nasharcs.errors import (
     DimensionMismatch,
@@ -24,9 +26,13 @@ from nasharcs.errors import (
 )
 from nasharcs.generators import an_graph, e6_graph
 from nasharcs.graph import make_graph
-from nasharcs.rational import RationalMatrix
 
-from oracles import anti_nef_naive, minimal_anti_nef_by_enumeration
+from oracles import (
+    anti_nef_naive,
+    gaussian_determinant,
+    intersection_rows,
+    minimal_anti_nef_by_enumeration,
+)
 
 
 def test_anti_nef_a2():
@@ -89,46 +95,50 @@ def test_fundamental_cycle_minimality(small_negdef_corpus):
 
 def test_ray_basis_a2():
     rays = ray_basis(an_graph(2))
-    assert rays.column(0) == (Q(2, 3), Q(1, 3))
-    assert rays.column(1) == (Q(1, 3), Q(2, 3))
+    assert rays.det == 3
+    assert rays.columns == ((2, 1), (1, 2))
+    # the read-only Fraction view keeps the e/det entries, reduced
+    assert rays.matrix.rows() == ((Q(2, 3), Q(1, 3)), (Q(1, 3), Q(2, 3)))
 
 
 def test_ray_basis_single_vertex():
     rays = ray_basis(make_graph([("E1", 2)], []))
-    assert rays.column(0) == (Q(1, 2),)
+    assert (rays.det, rays.columns) == (2, ((1,),))
 
 
 @pytest.mark.parametrize("n", [*range(1, 11), 40, 120])
 def test_ray_basis_bamboo_closed_form(n):
     rays = ray_basis(an_graph(n))
+    assert rays.det == n + 1
     for a in range(1, n + 1):
         for k in range(1, n + 1):
-            expected = Q(min(a, k) * (n + 1 - max(a, k)), n + 1)
-            assert rays.entry(a - 1, k - 1) == expected
+            assert rays.columns[k - 1][a - 1] == min(a, k) * (n + 1 - max(a, k))
 
 
 def test_ray_basis_defining_identity(negdef_corpus):
-    from nasharcs.graph import intersection_matrix
-
+    # (-M) column_k = det e_k, in plain integers
     for g in negdef_corpus:
         rays = ray_basis(g)
-        assert (-intersection_matrix(g)) @ rays.matrix == RationalMatrix.identity(g.n)
+        rows = intersection_rows(g)
+        for k, column in enumerate(rays.columns):
+            product = [-sum(a * e for a, e in zip(row, column)) for row in rows]
+            assert product == [rays.det * (v == k) for v in range(g.n)]
+        assert rays.det == gaussian_determinant([[-a for a in row] for row in rows])
 
 
 def test_ray_basis_strictly_positive(negdef_corpus):
     for g in negdef_corpus:
         rays = ray_basis(g)
-        assert all(
-            rays.entry(i, k) > 0 for i in range(g.n) for k in range(g.n)
-        )
+        assert rays.det > 0
+        assert all(e > 0 for column in rays.columns for e in column)
 
 
 def test_ray_rows_never_equal(negdef_corpus):
     for g in negdef_corpus:
-        rays = ray_basis(g)
+        rows = list(zip(*ray_basis(g).columns))
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                assert rays.row(i) != rays.row(j)
+                assert rows[i] != rows[j]
 
 
 def test_order_cycle_witness_a2():
@@ -182,9 +192,32 @@ def test_serialize_ray_basis():
     assert doc == [["2/3", "1/3"], ["1/3", "2/3"]]
 
 
-def test_scale_to_integer():
-    assert scale_to_integer((Q(1, 3), Q(2, 3))) == (1, 2)
-    assert scale_to_integer((Q(1, 2), Q(1, 3))) == (3, 2)
+def test_integer_rays_divide_out_gcd():
+    # A_3: det 4, columns (3, 2, 1), (2, 4, 2), (1, 2, 3)
+    assert ray_basis(an_graph(3)).columns[1] == (2, 4, 2)
+    assert integer_rays(an_graph(3)) == ((3, 2, 1), (1, 2, 1), (1, 2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.lists(
+    st.integers(min_value=0, max_value=5), min_size=6, max_size=6))
+def test_arithmetic_genus_is_exact_integer(seed, z):
+    # against the Fraction formula over the dense matrix, on any weights
+    rng = random.Random(seed)
+    weights = [rng.randint(2, 5) for _ in range(6)]
+    ids = [f"v{k}" for k in range(6)]
+    g = make_graph(
+        list(zip(ids, weights)), [(ids[k], ids[rng.randrange(k)]) for k in range(1, 6)]
+    )
+    if not any(z):
+        z[0] = 1
+    rows = intersection_rows(g)
+    zz = sum(z[i] * a * z[j] for i, row in enumerate(rows) for j, a in enumerate(row))
+    zk = sum(c * (w - 2) for c, w in zip(z, weights))
+    genus = arithmetic_genus(g, z)
+    assert type(genus) is int and genus == 1 + Q(zz + zk, 2)
+    assert intersection_number(g, z, z) == zz
+    assert canonical_degrees(g) == tuple(w - 2 for w in weights)
 
 
 def test_rationality_bamboo_and_e6():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -21,19 +22,21 @@ from nasharcs.arcs import (
     separation_check,
 )
 from nasharcs.classify import certify_minimal, decompose_minimal
-from nasharcs.cycles import order_cycle_witness, ray_basis, scale_to_integer
+from nasharcs.cycles import integer_rays, order_cycle_witness, ray_basis
 from nasharcs.errors import BadParameter, TruncationTooSmall
 from nasharcs.generators import _tree_from_edges, an_graph, random_tree_edges
 from nasharcs.graph import (
     graph_is_negative_definite,
-    intersection_matrix,
-    is_negative_definite,
     make_graph,
+    rooted,
     serialize_graph,
+    tree_determinants,
 )
 from nasharcs.order import relation_matrix
-from nasharcs.rational import RationalMatrix
 from oracles import (
+    gaussian_determinant,
+    intersection_rows,
+    negative_definite_by_sylvester,
     ref_evaluate,
     ref_sample_arc,
     ref_separation_failures,
@@ -62,13 +65,40 @@ def indefinite_corpus():
     return graphs
 
 
+def _dense_det(g, vertices=None):
+    """det(-M) of the induced subgraph, by dense Gaussian elimination."""
+    rows = intersection_rows(g)
+    keep = range(g.n) if vertices is None else sorted(vertices)
+    return gaussian_determinant([[-rows[i][j] for j in keep] for i in keep])
+
+
 def test_tree_pivots_match_dense_minors(negdef_corpus, indefinite_corpus):
     verdicts = {True: 0, False: 0}
     for g in negdef_corpus + indefinite_corpus:
-        dense = is_negative_definite(intersection_matrix(g))
+        dense = negative_definite_by_sylvester(intersection_rows(g))
         assert graph_is_negative_definite(g) == dense, g
+        if dense:
+            assert tree_determinants(g, 0)[0][0] == _dense_det(g), g
         verdicts[dense] += 1
     assert verdicts[False] >= 40 and verdicts[True] >= 200
+
+
+def test_subtree_determinants_match_dense(negdef_corpus):
+    # D(v) is det(-M) of the subtree at v, B(v) the product over v's children
+    for g in negdef_corpus[:40]:
+        for root in {0, g.n - 1}:
+            sub, below = tree_determinants(g, root)
+            order, parent = rooted(g, root)
+            subtree = {v: {v} for v in order}
+            for v in reversed(order[1:]):
+                subtree[parent[v]] |= subtree[v]
+            for v in order:
+                assert sub[v] == _dense_det(g, subtree[v]), (g, root, v)
+                product = 1
+                for c in order:
+                    if parent[c] == v:
+                        product *= sub[c]
+                assert below[v] == product
 
 
 def test_star_with_hub_at_index_zero_is_indefinite():
@@ -84,25 +114,45 @@ def test_tree_pivots_on_weight_one_supergraphs(minimal_corpus):
     for g in minimal_corpus[:10]:
         sg = decompose_minimal(g, g.ids[0], g.ids[-1]).supergraph
         assert graph_is_negative_definite(sg)
-        assert is_negative_definite(intersection_matrix(sg))
+        assert negative_definite_by_sylvester(intersection_rows(sg))
+        assert ray_basis(sg).det == 1 == _dense_det(sg)
 
 
 def test_tree_ray_basis_inverts_dense_matrix(indefinite_corpus, minimal_corpus):
     # the definite members of the light-weight corpus, and weight-1
     # supergraphs, which are larger and unimodular
-    graphs = [g for g in indefinite_corpus if is_negative_definite(intersection_matrix(g))]
+    graphs = [g for g in indefinite_corpus if negative_definite_by_sylvester(intersection_rows(g))]
     for g in minimal_corpus[:12]:
         graphs.append(decompose_minimal(g, g.ids[0], g.ids[-1]).supergraph)
     assert len(graphs) >= 80
     for g in graphs:
         rays = ray_basis(g)
-        assert (-intersection_matrix(g)) @ rays.matrix == RationalMatrix.identity(g.n), g
+        assert rays.det == _dense_det(g), g
+        rows = intersection_rows(g)
+        for k, column in enumerate(rays.columns):
+            product = [-sum(a * e for a, e in zip(row, column)) for row in rows]
+            assert product == [rays.det * (v == k) for v in range(g.n)], g
+
+
+def _fraction_scaled_columns(g):
+    """Each ray column as Fractions e/det, times the lcm of its denominators."""
+    rays = ray_basis(g)
+    out = []
+    for column in rays.columns:
+        entries = [Q(e, rays.det) for e in column]
+        mult = lcm(*(q.denominator for q in entries))
+        out.append(tuple(int(q * mult) for q in entries))
+    return out
+
+
+def test_integer_rays_match_fraction_scaling(negdef_corpus, indefinite_corpus):
+    graphs = negdef_corpus + [g for g in indefinite_corpus if graph_is_negative_definite(g)]
+    for g in graphs:
+        assert list(integer_rays(g)) == _fraction_scaled_columns(g), g
 
 
 def _first_separating_column(g, i, j):
-    rays = ray_basis(g)
-    for k in range(g.n):
-        column = scale_to_integer(rays.column(k))
+    for column in _fraction_scaled_columns(g):
         if column[i] < column[j]:
             return column
     return None

@@ -8,15 +8,14 @@ import pytest
 from nasharcs.errors import BadWeight, MalformedDocument, NotATree
 from nasharcs.generators import an_graph, random_negative_definite_graph
 from nasharcs.graph import (
-    intersection_matrix,
-    is_negative_definite,
+    graph_is_negative_definite,
     make_graph,
     parse_graph,
     serialize_graph,
+    tree_determinants,
 )
-from nasharcs.rational import RationalMatrix
 
-from oracles import negative_definite_by_minors
+from oracles import intersection_rows, negative_definite_by_minors, negative_definite_by_sylvester
 
 A2_DOC = {
     "vertices": [{"id": "E1", "w": 2}, {"id": "E2", "w": 2}],
@@ -113,51 +112,59 @@ def test_roundtrip_on_random_corpus():
         assert parse_graph(serialize_graph(g)) == g
 
 
+# the dense matrix is the tests' reference, so it is pinned on known cases
 def test_intersection_matrix_a2():
     g = parse_graph(A2_DOC)
-    assert intersection_matrix(g) == RationalMatrix([[-2, 1], [1, -2]])
+    assert intersection_rows(g) == [[-2, 1], [1, -2]]
 
 
 def test_intersection_matrix_single_vertex():
     g = make_graph([("E1", 2)], [])
-    assert intersection_matrix(g) == RationalMatrix([[-2]])
+    assert intersection_rows(g) == [[-2]]
 
 
 def test_intersection_matrix_a3():
-    m = intersection_matrix(an_graph(3))
-    assert m == RationalMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    m = intersection_rows(an_graph(3))
+    assert m == [[-2, 1, 0], [1, -2, 1], [0, 1, -2]]
 
 
 def test_intersection_matrix_shape_invariants():
     rng = random.Random(11)
     for _ in range(20):
         g = random_negative_definite_graph(rng, max_vertices=8)
-        m = intersection_matrix(g)
-        assert m.is_symmetric()
-        assert all(m[i, i] < 0 for i in range(g.n))
+        m = intersection_rows(g)
+        assert all(m[i][j] == m[j][i] for i in range(g.n) for j in range(i))
+        assert all(m[i][i] < 0 for i in range(g.n))
 
 
 def test_negative_definite_a2():
-    assert is_negative_definite(intersection_matrix(parse_graph(A2_DOC)))
+    g = parse_graph(A2_DOC)
+    assert graph_is_negative_definite(g)
+    sub, below = tree_determinants(g, 0)
+    assert (sub, below) == ([3, 2], [2, 1])  # det(-M) = 3 at the root
 
 
 def test_negative_definite_scalars():
-    assert is_negative_definite(RationalMatrix([[-1]]))
-    assert not is_negative_definite(RationalMatrix([[0]]))
+    assert negative_definite_by_sylvester([[-1]])
+    assert not negative_definite_by_sylvester([[0]])
+    assert graph_is_negative_definite(make_graph([("E1", 1)], [], auxiliary=True))
+    assert tree_determinants(make_graph([("E1", 1)], [], auxiliary=True), 0) == ([1], [1])
 
 
 def test_star_not_negative_definite():
     # weight-2 star with 5 leaves: (-M) has a nonpositive minor
     center = [("c", 2)] + [(f"l{k}", 2) for k in range(5)]
     g = make_graph(center, [("c", f"l{k}") for k in range(5)])
-    m = intersection_matrix(g)
-    assert not is_negative_definite(m)
-    assert not negative_definite_by_minors([list(r) for r in m.rows()])
+    assert not graph_is_negative_definite(g)
+    assert all(tree_determinants(g, root) is None for root in range(g.n))
+    assert not negative_definite_by_minors(intersection_rows(g))
+    assert not negative_definite_by_sylvester(intersection_rows(g))
 
 
 def test_a2_negative_definite_matches_oracle():
-    m = intersection_matrix(parse_graph(A2_DOC))
-    assert negative_definite_by_minors([list(r) for r in m.rows()])
+    rows = intersection_rows(parse_graph(A2_DOC))
+    assert negative_definite_by_minors(rows)
+    assert negative_definite_by_sylvester(rows)
 
 
 def test_negative_definite_matches_minor_oracle():
@@ -170,9 +177,8 @@ def test_negative_definite_matches_minor_oracle():
         edges = random_tree_edges(n, rng)
         weights = [rng.randint(2, 4) for _ in range(n)]
         g = _tree_from_edges(n, edges, weights)
-        m = intersection_matrix(g)
-        verdict = is_negative_definite(m)
-        assert verdict == negative_definite_by_minors([list(r) for r in m.rows()])
+        verdict = graph_is_negative_definite(g)
+        assert verdict == negative_definite_by_minors(intersection_rows(g))
         seen[verdict] += 1
     assert seen[True] > 0  # the non-definite side is covered by the star test
 
