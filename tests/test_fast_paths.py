@@ -43,7 +43,7 @@ from oracles import (
     ref_series_mul,
     ref_series_pow,
 )
-from test_golden import ARC_CASES, CASES, GOLDEN
+from test_golden import ARC_CASES, CASES, golden_argv
 
 
 def _star(hub_first: bool, leaves: int, hub_weight: int = 2):
@@ -375,12 +375,12 @@ def _dumps(doc) -> str:
 
 
 def _reports(monkeypatch, tmp_path, negdef_corpus) -> list:
-    """The documents the CLI hands to `_emit` for the golden graphs and
+    """The documents the CLI hands to `_emit` for the golden graph cases and
     `an-arcs` argument sets, and for `analyze` and `order` on `negdef_corpus`."""
     docs: list = []
     monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
-    for name, command in CASES:
-        assert cli.main([command, str(GOLDEN / f"{name}.graph.json")]) == 0
+    for (name, command), code in CASES.items():
+        assert cli.main(golden_argv(name, command)) == code
     for args, code in ARC_CASES.values():
         assert cli.main(["an-arcs", *args]) == code
     path = tmp_path / "g.json"

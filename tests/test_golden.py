@@ -1,17 +1,25 @@
 """Byte-identity of CLI reports on a fixed corpus.
 
 Each `<name>.graph.json` under data/golden has one report per command
-it was run through, `<name>.<command>.json`, written by the CLI before
-the per-graph caches and the per-leaf bamboo embeddings were introduced.
-Any change to certificates, witnesses or the JSON layout shows up here.
+it was run through, `<name>.<command>.json`.  The `analyze` and
+`certify-minimal` reports were written by the CLI before the per-graph
+caches and the per-leaf bamboo embeddings were introduced.  The `order`
+and `decompose` reports, with the DOT file each writes to `--dot` as
+`<name>.<command>.dot`, were written before `contracts_to_empty` lost
+its pluggable pick order and the certificate lost its `Open` status;
+`decompose` runs through the first and the last vertex of the file.
+Any change to certificates, witnesses, contraction steps, Hasse diagrams
+or the JSON layout shows up here.
 
 `data/golden/an-arcs/<name>.json` holds the `an-arcs` report of each
 argument set in `ARC_CASES`, written by the CLI while the arc series
 were still computed with `Fraction` products.  A change to any sampled
 arc, contact order, residual or separation verdict shows up there.
+`data/golden/an-order/n6.{json,dot}` is `an-order --n 6 --dot`.
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -19,25 +27,58 @@ import pytest
 from nasharcs.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-CASES = sorted(
-    (p.name.split(".")[0], p.name.split(".")[1])
-    for p in GOLDEN.glob("*.json")
-    if not p.name.endswith(".graph.json")
-)
+_MINIMAL = ["bamboo_322", "dn6_minimal", *(f"minimal_{k}" for k in range(5))]
+_DEFINITE = [*_MINIMAL, "e6", *(f"negdef_{k}" for k in range(4))]
+# (graph name, command) -> exit code; `order` exits 1 where pairs stay open
+CASES = {
+    **{(name, "analyze"): 0 for name in
+       ["bamboo_322", "dn6_minimal", "e6", *(f"negdef_{k}" for k in range(4)), "star_indefinite"]},
+    **{(name, "certify-minimal"): 0 for name in _MINIMAL},
+    **{(name, "decompose"): 0 for name in _MINIMAL},
+    **{(name, "order"): 1 if name in ("e6", "negdef_1") else 0 for name in _DEFINITE},
+}
+# commands that also write a DOT file
+DOT_COMMANDS = {"order", "decompose"}
 
 
 def test_corpus_present():
-    commands = {command for _, command in CASES}
-    assert commands == {"analyze", "certify-minimal"}
-    assert len(CASES) >= 15
+    on_disk = {
+        tuple(p.name.split(".")[:2])
+        for p in GOLDEN.glob("*.json")
+        if not p.name.endswith(".graph.json")
+    }
+    assert on_disk == set(CASES)
+    dots = {tuple(p.name.split(".")[:2]) for p in GOLDEN.glob("*.dot")}
+    assert dots == {case for case in CASES if case[1] in DOT_COMMANDS}
+    assert len(CASES) == 34
 
 
-@pytest.mark.parametrize("name,command", CASES)
+def golden_argv(name: str, command: str) -> list[str]:
+    """The CLI arguments of one graph case, without --dot and --out."""
+    path = GOLDEN / f"{name}.graph.json"
+    if command != "decompose":
+        return [command, str(path)]
+    ids = [v["id"] for v in json.loads(path.read_text())["vertices"]]
+    return [command, str(path), "--x", ids[0], "--y", ids[-1]]
+
+
+@pytest.mark.parametrize("name,command", sorted(CASES))
 def test_cli_reproduces_golden(name, command, tmp_path):
-    out = tmp_path / "out.json"
-    code = main([command, str(GOLDEN / f"{name}.graph.json"), "--out", str(out)])
-    assert code == 0
+    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
+    args = golden_argv(name, command)
+    if command in DOT_COMMANDS:
+        args += ["--dot", str(dot)]
+    assert main([*args, "--out", str(out)]) == CASES[(name, command)]
     assert out.read_bytes() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+    if command in DOT_COMMANDS:
+        assert dot.read_bytes() == (GOLDEN / f"{name}.{command}.dot").read_bytes()
+
+
+def test_an_order_reproduces_golden(tmp_path):
+    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
+    assert main(["an-order", "--n", "6", "--dot", str(dot), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "an-order" / "n6.json").read_bytes()
+    assert dot.read_bytes() == (GOLDEN / "an-order" / "n6.dot").read_bytes()
 
 
 ARC_GOLDEN = GOLDEN / "an-arcs"
