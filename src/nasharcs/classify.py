@@ -10,15 +10,10 @@ these together into a full certificate for every ordered divisor pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .cycles import fundamental_cycle, is_rational
-from .errors import (
-    NotInImage,
-    NotMinimal,
-    NotRational,
-    SameVertex,
-)
+from .errors import BadWeight, NotInImage, NotMinimal, NotRational, SameVertex
 from .generators import an_graph
 from .graph import (
     WeightedDualGraph,
@@ -30,6 +25,11 @@ from .graph import (
     serialize_graph,
 )
 from .order import NashRelation, Verdict, an_relation, relation_matrix
+
+# most weight-1 vertices a bamboo decomposition may attach, counted as the
+# sum of weight minus valence: the supergraph, its blow-down and the
+# `decompose` report all grow with it
+MAX_ATTACHED = 4096
 
 
 @cached_on_graph
@@ -58,17 +58,13 @@ class BlowDownStep:
 @dataclass(frozen=True)
 class ContractionTrace:
     steps: tuple[BlowDownStep, ...]
-    remaining: WeightedDualGraph | None  # None means contracted to Empty
-
-    @property
-    def empty(self) -> bool:
-        return self.remaining is None
+    empty: bool  # False when the blow-downs stop short of Empty
 
 
-def _contract(
-    g: WeightedDualGraph,
-    pick: Callable[[list[str]], str],
-) -> ContractionTrace:
+def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
+    """Greedy blow-down of weight-1, valence <= 2 vertices, smallest index first."""
+    # dicts keep insertion order across deletions, so scanning `weight`
+    # visits the vertices left by index and the first eligible is smallest
     weight = dict(zip(g.ids, g.weights))
     adj: dict[str, set[str]] = {vid: set() for vid in g.ids}
     for i, j in g.edges:
@@ -77,29 +73,16 @@ def _contract(
     order = {vid: k for k, vid in enumerate(g.ids)}
     steps: list[BlowDownStep] = []
     while weight:
-        eligible = []
         for vid in weight:
             if weight[vid] != 1 or len(adj[vid]) > 2:
                 continue
             if len(adj[vid]) == 2:
-                a, b = sorted(adj[vid])
+                a, b = adj[vid]
                 if b in adj[a]:  # joining would create a multi-edge
                     continue
-            eligible.append(vid)
-        if not eligible:
-            ids = sorted(weight, key=order.__getitem__)
-            remaining = make_graph(
-                [(vid, weight[vid]) for vid in ids],
-                [
-                    (a, b)
-                    for a in ids
-                    for b in sorted(adj[a])
-                    if order[a] < order[b]
-                ],
-                auxiliary=True,
-            )
-            return ContractionTrace(steps=tuple(steps), remaining=remaining)
-        vid = pick(sorted(eligible, key=order.__getitem__))
+            break
+        else:
+            return ContractionTrace(steps=tuple(steps), empty=False)
         nbrs = sorted(adj[vid], key=order.__getitem__)
         for u in nbrs:
             weight[u] -= 1
@@ -109,12 +92,7 @@ def _contract(
             adj[nbrs[1]].add(nbrs[0])
         del weight[vid], adj[vid]
         steps.append(BlowDownStep(vertex=vid, neighbors=tuple(nbrs)))
-    return ContractionTrace(steps=tuple(steps), remaining=None)
-
-
-def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
-    """Greedy blow-down of weight-1, valence <= 2 vertices, smallest index first."""
-    return _contract(g, pick=lambda eligible: eligible[0])
+    return ContractionTrace(steps=tuple(steps), empty=True)
 
 
 @dataclass(frozen=True)
@@ -170,8 +148,12 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
 
     Counts use weight and valence in g itself.  The k-th vertex attached
     to v is named "{v}+{k}" unless that id is taken, in which case the
-    next free suffix is used.
+    next free suffix is used.  More than `MAX_ATTACHED` in all is refused
+    before anything is built.
     """
+    surplus = sum(w - g.valence(v) for v, w in enumerate(g.weights))
+    if surplus > MAX_ATTACHED:
+        raise BadWeight(f"weights exceed valences by more than {MAX_ATTACHED} in all")
     vertices = list(zip(g.ids, g.weights))
     edges = [(g.ids[i], g.ids[j]) for i, j in sorted(g.edges)]
     taken = set(g.ids)
@@ -253,16 +235,10 @@ class Rule:
     PROPAGATION = "Propagation"
 
 
-class Status:
-    PROVEN = "Proven"
-    OPEN = "Open"
-
-
 @dataclass
 class CertificateEntry:
     alpha: str
     beta: str
-    status: str
     rules: list[str] = field(default_factory=list)
     evidence: dict[str, Any] = field(default_factory=dict)
 
@@ -273,11 +249,6 @@ class Certificate:
 
     graph: WeightedDualGraph
     entries: dict[tuple[str, str], CertificateEntry]
-
-    def open_pairs(self) -> list[tuple[str, str]]:
-        return sorted(
-            pair for pair, e in self.entries.items() if e.status == Status.OPEN
-        )
 
 
 def propagate(
@@ -352,7 +323,6 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
                 entry = CertificateEntry(
                     alpha=g.ids[a],
                     beta=g.ids[b],
-                    status=Status.PROVEN,
                     rules=[Rule.PROPAGATION],
                     evidence=dict(evidence),
                 )
@@ -366,41 +336,9 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     return Certificate(graph=g, entries=entries)
 
 
-def same_configuration(g: WeightedDualGraph, reference: WeightedDualGraph) -> bool:
-    """True iff the underlying unweighted trees are isomorphic."""
-    return _tree_canon(g) == _tree_canon(reference)
-
-
-def _tree_canon(g: WeightedDualGraph) -> str:
-    """Canonical string of the unweighted tree (AHU from the centers)."""
-    return min(_rooted_canon(g, c) for c in _tree_centers(g))
-
-
-def _rooted_canon(g: WeightedDualGraph, root: int) -> str:
-    """AHU string of the tree rooted at `root`: "(" + sorted child strings + ")".
-
-    Built from the leaves up in reverse breadth-first order, so deep trees
-    need no recursion.
-    """
-    order, parent = rooted(g, root)
-    children: list[list[str]] = [[] for _ in range(g.n)]
-    canon = ""
-    for v in reversed(order):
-        canon = "(" + "".join(sorted(children[v])) + ")"
-        children[v] = []  # only the joined string is needed from here on
-        if parent[v] >= 0:
-            children[parent[v]].append(canon)
-    return canon
-
-
-def _tree_centers(g: WeightedDualGraph) -> list[int]:
-    """The middle vertex or two of a longest path, found by two walks."""
-    far = rooted(g, 0)[0][-1]  # the last vertex reached is a farthest one
-    path = g.path(far, rooted(g, far)[0][-1])
-    return sorted({path[(len(path) - 1) // 2], path[len(path) // 2]})
-
-
 def serialize_certificate(c: Certificate) -> dict[str, Any]:
+    # certify_minimal proves every pair by propagation or raises, so each
+    # pair is "Proven" and none is open; the report keeps both fields
     return {
         "graph": serialize_graph(c.graph),
         "restriction": "order relation computed over a negative-definite graph",
@@ -409,13 +347,13 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
             {
                 "alpha": e.alpha,
                 "beta": e.beta,
-                "status": e.status,
+                "status": "Proven",
                 "rules": e.rules,
                 "evidence": e.evidence,
             }
             for _, e in sorted(c.entries.items())
         ],
-        "open_pairs": [list(p) for p in c.open_pairs()],
+        "open_pairs": [],
     }
 
 

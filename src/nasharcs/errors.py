@@ -14,7 +14,8 @@ class NotATree(NashArcsError):
 
 
 class BadWeight(NashArcsError):
-    """Vertex weight below the allowed minimum."""
+    """Vertex weight below the allowed minimum, or weights too large to
+    print det(-M) or to attach their weight-1 vertices."""
 
 
 class DimensionMismatch(NashArcsError):

@@ -9,6 +9,8 @@ weight-1 vertices produced by the embedding constructions).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import wraps
 from typing import Any, Callable, Iterable, Sequence, TypeVar
@@ -131,7 +133,7 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
             raise MalformedDocument(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise MalformedDocument("invalid JSON: nested too deeply") from None
@@ -158,6 +160,16 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
         except UnicodeEncodeError:
             raise MalformedDocument(f"vertex id {vid!r} is not valid Unicode") from None
         vertices.append((vid, w))
+    # -M is positive definite wherever a report prints det(-M) or a cofactor,
+    # so by Hadamard's inequality each is at most the product of the weights;
+    # bounding that product keeps every printed integer under the
+    # interpreter's int/str digit limit (0 means no limit)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = sum(w.bit_length() for _, w in vertices)
+    if limit and bits > limit * math.log2(10):
+        raise BadWeight(
+            f"the weights total {bits} bits, past the {limit}-digit limit on printed integers"
+        )
     edges = []
     for e in raw_edges:
         # an array or object endpoint would reach the id lookup unhashable

@@ -1,26 +1,21 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from nasharcs.classify import (
     Rule,
-    Status,
-    _contract,
     certify_minimal,
     contracts_to_empty,
     decompose_minimal,
     is_an,
     is_minimal,
     propagate,
-    same_configuration,
     serialize_certificate,
     serialize_decomposition,
     supergraph_dot,
 )
 from nasharcs.errors import NotInImage, NotMinimal, NotRational, SameVertex
-from nasharcs.generators import an_graph, dn_shape_graph, e6_graph
+from nasharcs.generators import an_graph, e6_graph
 from nasharcs.graph import make_graph, parse_graph
 from nasharcs.order import NashRelation, Verdict, an_relation
 
@@ -69,7 +64,7 @@ def test_contract_single_weight_two_stuck():
     g = make_graph([("a", 2)], [])
     trace = contracts_to_empty(g)
     assert not trace.empty
-    assert trace.remaining.n == 1
+    assert trace.steps == ()
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -92,9 +87,7 @@ def test_contract_trace_records_steps():
 
 
 def test_contract_order_robust(minimal_corpus):
-    # greedy reaches Empty iff some order does, and a randomized order
-    # agrees with the greedy verdict
-    rng = random.Random(13)
+    # greedy reaches Empty iff some blow-down order does
     checked = 0
     for g in minimal_corpus:
         if g.n > 6 or checked >= 10:
@@ -104,10 +97,7 @@ def test_contract_order_robust(minimal_corpus):
         sg = cert.supergraph
         if sg.n > 10:
             continue
-        greedy = contracts_to_empty(sg).empty
-        randomized = _contract(sg, pick=rng.choice).empty
-        exhaustive = exhaustive_contraction_orders(*graph_state(sg))
-        assert greedy == randomized == exhaustive
+        assert contracts_to_empty(sg).empty == exhaustive_contraction_orders(*graph_state(sg))
 
 
 def test_contract_stuck_graph_all_orders():
@@ -229,12 +219,16 @@ def test_propagate_requires_rational():
 
 # ----------------------------------------------------------------- certification
 
+def _all_proven(cert) -> bool:
+    doc = serialize_certificate(cert)
+    return doc["open_pairs"] == [] and all(p["status"] == "Proven" for p in doc["pairs"])
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_certify_bamboo(n):
     cert = certify_minimal(an_graph(n))
-    assert not cert.open_pairs()
+    assert _all_proven(cert)
     for entry in cert.entries.values():
-        assert entry.status == Status.PROVEN
         assert Rule.PROPAGATION in entry.rules
         # on a weight-2 bamboo the order criterion also settles every pair
         assert Rule.ORDER_CRITERION in entry.rules
@@ -243,7 +237,7 @@ def test_certify_bamboo(n):
 def test_certify_bamboo_322():
     cert = certify_minimal(bamboo_322())
     assert len(cert.entries) == 6
-    assert not cert.open_pairs()
+    assert _all_proven(cert)
     assert all(Rule.PROPAGATION in e.rules for e in cert.entries.values())
 
 
@@ -255,7 +249,7 @@ def test_certify_rejects_non_minimal():
 def test_certify_corpus_no_open_pairs(minimal_corpus):
     for g in minimal_corpus[:15]:
         cert = certify_minimal(g)
-        assert not cert.open_pairs()
+        assert _all_proven(cert)
         assert len(cert.entries) == g.n * (g.n - 1)
 
 
@@ -266,10 +260,11 @@ def test_order_criterion_subset_of_propagation(minimal_corpus):
 
     for g in minimal_corpus[:10]:
         cert = certify_minimal(g)
+        assert _all_proven(cert)
         direct = relation_matrix(g).non_inclusions()
         for (a, b) in direct:
             entry = cert.entries[(g.ids[a], g.ids[b])]
-            assert entry.status == Status.PROVEN
+            assert Rule.PROPAGATION in entry.rules
             assert Rule.ORDER_CRITERION in entry.rules
 
 
@@ -279,33 +274,6 @@ def test_certificate_serialization():
     assert len(doc["pairs"]) == 6
     assert all(p["status"] == "Proven" for p in doc["pairs"])
     assert doc["fundamental_cycle"] == [1, 1, 1]
-
-
-# ---------------------------------------------------------------- configurations
-
-def test_same_configuration_dn_reweighted():
-    light = dn_shape_graph(5)
-    heavy = dn_shape_graph(5, weights=[4, 3, 5, 2, 6])
-    assert same_configuration(light, heavy)
-
-
-def test_different_configuration():
-    assert not same_configuration(an_graph(4), dn_shape_graph(4))
-
-
-def test_same_configuration_reflexive():
-    g = e6_graph()
-    assert same_configuration(g, g)
-
-
-def test_same_configuration_relabelled():
-    a = dn_shape_graph(6)
-    ids = ["x", "q", "m", "z", "k", "w"]
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]
-    b = make_graph(
-        [(vid, 2) for vid in ids], [(ids[i], ids[j]) for i, j in edges]
-    )
-    assert same_configuration(a, b)
 
 
 BAMBOO_322_DOT = """graph decomposition_supergraph {
@@ -338,18 +306,3 @@ def test_supergraph_dot_escapes_quotes_and_backslashes():
         if "label=" in old:  # the label repeats the id
             expected[1] = f"{expected[0]} {expected[1].rsplit(' ', 1)[1]}"
         assert dot_ids(line) == expected
-
-
-def test_same_configuration_deep_bamboo():
-    # one recursion level per vertex used to exceed the interpreter's limit
-    n = 3000
-    assert same_configuration(an_graph(n), an_graph(n))
-    ids = [f"u{k}" for k in range(n)]
-    random.Random(3).shuffle(ids)
-    relabelled = make_graph([(v, 2) for v in ids], list(zip(ids, ids[1:])))
-    assert same_configuration(an_graph(n), relabelled)
-    fork = make_graph(
-        [(f"w{k}", 2) for k in range(n)],
-        [(f"w{k}", f"w{k + 1}") for k in range(n - 2)] + [(f"w{n - 3}", f"w{n - 1}")],
-    )
-    assert not same_configuration(an_graph(n), fork)

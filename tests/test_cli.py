@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -290,3 +292,65 @@ def test_lone_surrogate_vertex_id_exits_2(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2 and out is None and not (tmp_path / "h.dot").exists()
     assert "MalformedDocument" in err and "Traceback" not in err
+
+
+GRAPH_COMMANDS = [["analyze"], ["order"], ["certify-minimal"], ["decompose", "--x", "a", "--y", "b"]]
+GRAPH_COMMAND_IDS = ["analyze", "order", "certify_minimal", "decompose"]
+
+
+def _two_weights(wa: str, wb: str) -> str:
+    return f'{{"vertices": [{{"id": "a", "w": {wa}}}, {{"id": "b", "w": {wb}}}], "edges": [["a", "b"]]}}'
+
+
+@pytest.fixture()
+def default_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # json.loads itself refuses a literal past the 4300-digit limit
+        _two_weights("1" + "0" * 5000, "2"),
+        # both parse, but det(-M) has about 6000 digits and `analyze` prints it
+        _two_weights("1" + "0" * 3000, "1" + "0" * 3000),
+    ],
+    ids=["weight_of_5001_digits", "two_weights_of_3001_digits"],
+)
+@pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=GRAPH_COMMAND_IDS)
+def test_integer_past_digit_limit_exits_2(argv, text, tmp_path, capsys, default_digit_limit):
+    g = tmp_path / "big.json"
+    g.write_text(text)
+    code, out = run_json([argv[0], str(g), *argv[1:]], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2 and out is None
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=GRAPH_COMMAND_IDS)
+def test_weight_past_attachment_cap_exits_2_fast(argv, tmp_path, capsys):
+    # weight minus valence sums to 10**9, far past the cap of 4096 attached vertices
+    g = tmp_path / "heavy.json"
+    g.write_text(_two_weights(str(10**9), "2"))
+    start = time.perf_counter()
+    code, out = run_json([argv[0], str(g), *argv[1:]], tmp_path)
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    if argv[0] == "order":  # the order relation attaches nothing
+        assert code == 0 and out["non_inclusions"]
+        return
+    assert code == 2 and out is None
+    assert "BadWeight" in err and "4096" in err and "Traceback" not in err
+
+
+def test_attachment_cap_is_inclusive(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(_two_weights("4096", "2"))
+    code, doc = run_json(["decompose", str(g), "--x", "a", "--y", "b"], tmp_path)
+    assert code == 0 and sum(doc["attached"].values()) == 4095
+    (tmp_path / "out.json").unlink()
+    g.write_text(_two_weights("4097", "2"))
+    assert run_json(["decompose", str(g), "--x", "a", "--y", "b"], tmp_path) == (2, None)

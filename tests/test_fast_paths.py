@@ -348,26 +348,6 @@ def test_unit_power_recurrence_matches_repeated_products():
         assert arcs._int_mul(v, w, order) == list(ref_series_mul(v, w, order))
 
 
-# --- tree canonical form: leaves-up loop against the recursive AHU form ----
-
-def _recursive_tree_canon(g) -> str:
-    def rooted(v, parent):
-        children = sorted(rooted(u, v) for u in g.neighbors(v) if u != parent)
-        return "(" + "".join(children) + ")"
-
-    return min(rooted(c, None) for c in classify._tree_centers(g))
-
-
-def test_tree_canon_matches_recursive_form():
-    rng = random.Random(515)
-    graphs = [an_graph(1), an_graph(2), _star(True, 5), _star(False, 3)]
-    for _ in range(150):
-        n = rng.randint(1, 40)
-        graphs.append(_tree_from_edges(n, random_tree_edges(n, rng), [2] * n))
-    for g in graphs:
-        assert classify._tree_canon(g) == _recursive_tree_canon(g)
-
-
 # --- report emitter: chunked writer against json.dumps(indent=2) -----------
 
 def _dumps(doc) -> str:
