@@ -164,7 +164,7 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
     # so by Hadamard's inequality each is at most the product of the weights;
     # bounding that product keeps every printed integer under the
     # interpreter's int/str digit limit (0 means no limit)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     bits = sum(w.bit_length() for _, w in vertices)
     if limit and bits > limit * math.log2(10):
         raise BadWeight(
