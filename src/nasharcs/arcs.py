@@ -240,33 +240,15 @@ def contact_order(arc: TruncatedArc, f: Poly) -> int | None:
     return series_order(evaluate(arc, f))
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    n: int
-    i: int
-    j: int
-    samples: int
-    passed: bool
-    counterexamples: tuple[dict[str, Any], ...]
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "i": self.i,
-            "j": self.j,
-            "samples": self.samples,
-            "passed": self.passed,
-            "counterexamples": list(self.counterexamples),
-        }
-
-
 def separation_check(
     n: int, i: int, j: int, samples: int, trunc: int, seed: Any
-) -> SeparationReport:
+) -> dict[str, Any]:
     """Check the open condition separating N_i from the closure of N_j.
 
     Every arc of N_i must have a nonzero coefficient of t^i in x, while
-    every arc of N_j (j > i) has that coefficient equal to zero.
+    every arc of N_j (j > i) has that coefficient equal to zero.  The
+    report lists each failing sample under "counterexamples"; "passed"
+    is true when there is none.
     """
     if i == j:
         raise SameVertex("separation needs two distinct families")
@@ -282,9 +264,8 @@ def separation_check(
             bad.append({"family": i, "sample": s, "reason": "coefficient t^i of x is zero"})
         if x_j[i] != 0:
             bad.append({"family": j, "sample": s, "reason": "coefficient t^i of x is nonzero"})
-    return SeparationReport(
-        n=n, i=i, j=j, samples=samples, passed=not bad, counterexamples=tuple(bad)
-    )
+    return {"n": n, "i": i, "j": j, "samples": samples, "passed": not bad,
+            "counterexamples": bad}
 
 
 def defining_residual(arc: TruncatedArc) -> Series:

@@ -24,7 +24,7 @@ from .graph import (
     rooted,
     serialize_graph,
 )
-from .order import NashRelation, Verdict, an_relation, relation_matrix
+from .order import NashRelation, an_relation, relation_matrix
 
 # most weight-1 vertices a bamboo decomposition may attach, counted as the
 # sum of weight minus valence: the supergraph, its blow-down and the
@@ -34,8 +34,8 @@ MAX_ATTACHED = 4096
 
 @cached_on_graph
 def is_minimal(g: WeightedDualGraph) -> bool:
-    """Weight >= valence at every vertex, on a rational graph."""
-    if any(g.weights[i] < g.valence(i) for i in range(g.n)):
+    """Weight >= max(valence, 2) at every vertex (no (-1)-curve), on a rational graph."""
+    if any(g.weights[i] < max(g.valence(i), 2) for i in range(g.n)):
         return False
     return graph_is_negative_definite(g) and is_rational(g)
 
@@ -103,8 +103,9 @@ class DecompositionCertificate:
     the original graph; weight-1 vertices are attached per the
     weight-minus-valence counts; each attached vertex determines one
     path piece from z_1, and the designated piece runs through both x
-    and y.  `m` counts the original-graph vertices on that piece, and
-    `positions` are the 1-based places of x and y along it.
+    and y.  `m` is the length of the bamboo, the A_m quotient the pair
+    is pulled back from, and `positions` are the 1-based places of x
+    and y along the bamboo.
     """
 
     graph: WeightedDualGraph
@@ -237,8 +238,6 @@ class Rule:
 
 @dataclass
 class CertificateEntry:
-    alpha: str
-    beta: str
     rules: list[str] = field(default_factory=list)
     evidence: dict[str, Any] = field(default_factory=dict)
 
@@ -248,7 +247,7 @@ class Certificate:
     """Per-ordered-pair proof record that closure(N_alpha) is not in closure(N_beta)."""
 
     graph: WeightedDualGraph
-    entries: dict[tuple[str, str], CertificateEntry]
+    entries: dict[tuple[str, str], CertificateEntry]  # keyed by (alpha, beta)
 
 
 def propagate(
@@ -273,11 +272,12 @@ def propagate(
     if len(set(mapping.values())) != len(mapping):
         raise NotInImage("vertex mapping must be injective")
     si, sj = mapping[i], mapping[j]
-    if relation.verdict is Verdict.INCOMPARABLE:
-        return [(si, sj), (sj, si)]
-    if relation.verdict is Verdict.LESS:
-        return [(si, sj)]
-    return [(sj, si)]
+    proven = []
+    if relation.witness_ij is not None:
+        proven.append((si, sj))
+    if relation.witness_ji is not None:
+        proven.append((sj, si))
+    return proven
 
 
 def certify_minimal(g: WeightedDualGraph) -> Certificate:
@@ -292,7 +292,6 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     if not is_minimal(g):
         raise NotMinimal("certification requires a minimal graph")
     rm = relation_matrix(g)
-    direct = rm.non_inclusions()
     entries: dict[tuple[str, str], CertificateEntry] = {}
     quotients: dict[int, WeightedDualGraph] = {}
     for xi in range(g.n):
@@ -316,22 +315,15 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
                 "positions": list(cert.positions),
                 "designated_piece": list(piece),
                 "supergraph_contracts": cert.contraction.empty,
-                "witness_ij": list(rel.witness_ij),
-                "witness_ji": list(rel.witness_ji),
+                "witness_ij": rel.witness_ij,
+                "witness_ji": rel.witness_ji,
             }
             for a, b in ((xi, yi), (yi, xi)):
-                entry = CertificateEntry(
-                    alpha=g.ids[a],
-                    beta=g.ids[b],
-                    rules=[Rule.PROPAGATION],
-                    evidence=dict(evidence),
-                )
-                if (a, b) in direct:
+                entry = CertificateEntry(rules=[Rule.PROPAGATION], evidence=dict(evidence))
+                witness = rm.get(a, b).witness_ij
+                if witness is not None:
                     entry.rules.append(Rule.ORDER_CRITERION)
-                    witness = rm.get(a, b).witness_ij
-                    entry.evidence["order_witness"] = (
-                        list(witness) if witness else None
-                    )
+                    entry.evidence["order_witness"] = witness
                 entries[(g.ids[a], g.ids[b])] = entry
     return Certificate(graph=g, entries=entries)
 
@@ -345,13 +337,13 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
         "fundamental_cycle": list(fundamental_cycle(c.graph)),
         "pairs": [
             {
-                "alpha": e.alpha,
-                "beta": e.beta,
+                "alpha": alpha,
+                "beta": beta,
                 "status": "Proven",
                 "rules": e.rules,
                 "evidence": e.evidence,
             }
-            for _, e in sorted(c.entries.items())
+            for (alpha, beta), e in sorted(c.entries.items())
         ],
         "open_pairs": [],
     }

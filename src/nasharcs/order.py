@@ -25,44 +25,39 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class NashRelation:
-    """Verdict for an ordered vertex pair (i, j) with its witness cycles.
+    """The two witness cycles of an ordered vertex pair (i, j).
 
     witness_ij, when present, is an anti-nef cycle whose coefficient at i
     is strictly below the one at j (and symmetrically for witness_ji).
-    Both present means incomparable; exactly one means a strict order.
-    Both absent cannot happen over an invertible intersection matrix and
-    raises instead of being represented.
+    The verdict is read off them: both present means incomparable,
+    exactly one means a strict order.  Both absent cannot happen over an
+    invertible intersection matrix and raises instead of being represented.
     """
 
-    verdict: Verdict
     witness_ij: Cycle | None
     witness_ji: Cycle | None
 
+    @property
+    def verdict(self) -> Verdict:
+        if self.witness_ij is None:
+            return Verdict.GREATER
+        return Verdict.LESS if self.witness_ji is None else Verdict.INCOMPARABLE
+
     def reversed(self) -> "NashRelation":
-        flip = {
-            Verdict.LESS: Verdict.GREATER,
-            Verdict.GREATER: Verdict.LESS,
-            Verdict.INCOMPARABLE: Verdict.INCOMPARABLE,
-        }
-        return NashRelation(flip[self.verdict], self.witness_ji, self.witness_ij)
+        return NashRelation(self.witness_ji, self.witness_ij)
 
 
 def relate(g: WeightedDualGraph, i: int, j: int) -> NashRelation:
     """Decide the relation between divisors i and j."""
     if i == j:
         raise SameVertex("cannot relate a divisor to itself")
-    w_ij = order_cycle_witness(g, i, j)
-    w_ji = order_cycle_witness(g, j, i)
-    if w_ij is not None and w_ji is not None:
-        return NashRelation(Verdict.INCOMPARABLE, w_ij, w_ji)
-    if w_ij is not None:
-        return NashRelation(Verdict.LESS, w_ij, None)
-    if w_ji is not None:
-        return NashRelation(Verdict.GREATER, None, w_ji)
-    raise EqualityDetected(
-        f"divisors {i} and {j} compare equal on every ray; "
-        "the intersection matrix cannot be invertible"
-    )
+    rel = NashRelation(order_cycle_witness(g, i, j), order_cycle_witness(g, j, i))
+    if rel.witness_ij is None and rel.witness_ji is None:
+        raise EqualityDetected(
+            f"divisors {i} and {j} compare equal on every ray; "
+            "the intersection matrix cannot be invertible"
+        )
+    return rel
 
 
 @dataclass(frozen=True)
@@ -83,18 +78,10 @@ class RelationMatrix:
 
     def non_inclusions(self) -> frozenset[tuple[int, int]]:
         """Ordered pairs (a, b) with a proof that closure(N_a) is not in closure(N_b)."""
-        out = set()
-        for (i, j), rel in self.relations.items():
-            if rel.verdict in (Verdict.INCOMPARABLE, Verdict.LESS):
-                out.add((i, j))
-        return frozenset(out)
+        return frozenset(p for p, rel in self.relations.items() if rel.witness_ij is not None)
 
     def open_pairs(self) -> frozenset[tuple[int, int]]:
-        proven = self.non_inclusions()
-        n = self.graph.n
-        return frozenset(
-            (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in proven
-        )
+        return frozenset(p for p, rel in self.relations.items() if rel.witness_ij is None)
 
 
 def _verify_table(rm: RelationMatrix) -> None:
@@ -117,10 +104,8 @@ def _verify_table(rm: RelationMatrix) -> None:
                 anti_nef[w] = is_anti_nef(g, w)
             if not (anti_nef[w] and w[vertex_lo] < w[vertex_hi]):
                 raise InconsistentRelation(f"bad witness for pair ({i}, {j})")
-        if rel.verdict is Verdict.LESS:
+        if rel.verdict is Verdict.LESS:  # the reversed pair reads GREATER
             less.add((i, j))
-        elif rel.verdict is Verdict.GREATER:
-            less.add((j, i))
     for (a, b) in less:
         if (b, a) in less:
             raise InconsistentRelation(f"antisymmetry violated on ({a}, {b})")
@@ -178,9 +163,7 @@ def an_relation(m: int, i: int, j: int) -> NashRelation:
         raise SameVertex("cannot relate a divisor to itself")
     up = tuple(range(1, m + 1))
     down = tuple(range(m, 0, -1))
-    w_ij = up if i < j else down
-    w_ji = down if i < j else up
-    return NashRelation(Verdict.INCOMPARABLE, w_ij, w_ji)
+    return NashRelation(up, down) if i < j else NashRelation(down, up)
 
 
 def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:
@@ -192,8 +175,8 @@ def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:
                 "i": g.ids[i],
                 "j": g.ids[j],
                 "verdict": rel.verdict.value,
-                "witness_ij": list(rel.witness_ij) if rel.witness_ij else None,
-                "witness_ji": list(rel.witness_ji) if rel.witness_ji else None,
+                "witness_ij": rel.witness_ij,
+                "witness_ji": rel.witness_ji,
             }
         )
     return {

@@ -164,7 +164,7 @@ def test_criterion_7_arc_cycle_agreement():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 rep = separation_check(n, i, j, samples=100, trunc=trunc, seed="acc7")
-                ok = ok and rep.passed
+                ok = ok and rep["passed"]
     _report(7, "arc/cycle order agreement", ok)
 
 

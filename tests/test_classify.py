@@ -17,7 +17,7 @@ from nasharcs.classify import (
 from nasharcs.errors import NotInImage, NotMinimal, NotRational, SameVertex
 from nasharcs.generators import an_graph, e6_graph
 from nasharcs.graph import make_graph, parse_graph
-from nasharcs.order import NashRelation, Verdict, an_relation
+from nasharcs.order import NashRelation, an_relation
 
 from oracles import dot_ids, exhaustive_contraction_orders, graph_state
 
@@ -188,7 +188,7 @@ def test_propagate_incomparable_proves_both():
 def test_propagate_less_proves_one_direction():
     source = bamboo_322()
     quotient = an_graph(3)
-    rel = NashRelation(Verdict.LESS, (1, 2, 3), None)
+    rel = NashRelation((1, 2, 3), None)
     assert propagate(source, quotient, {0: 0, 1: 1, 2: 2}, (0, 1), rel) == [(0, 1)]
 
 

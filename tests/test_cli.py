@@ -267,6 +267,17 @@ def test_an_arcs_truncation_above_cap_is_usage_error(argv, tmp_path, capsys):
     assert "BadParameter" in err and "1024" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["129", "1000000000"])
+def test_an_order_above_cap_exits_2_fast(n, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    start = time.perf_counter()
+    code = main(["an-order", "--n", n, "--out", str(out)])
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "BadParameter" in err and "128" in err and "Traceback" not in err
+
+
 def test_an_arcs_help_states_truncation_cap(capsys):
     assert main(["an-arcs", "--help"]) == 0
     assert "at most 1024" in capsys.readouterr().out
@@ -354,3 +365,27 @@ def test_attachment_cap_is_inclusive(tmp_path):
     (tmp_path / "out.json").unlink()
     g.write_text(_two_weights("4097", "2"))
     assert run_json(["decompose", str(g), "--x", "a", "--y", "b"], tmp_path) == (2, None)
+
+
+# auxiliary graphs where every weight is at least the valence, yet a leaf
+# has weight 1: a (-1)-curve, so the graph is not minimal
+WEIGHT_1_LEAF = {
+    "leaf_on_three": {"vertices": [{"id": "a", "w": 1}, {"id": "b", "w": 3}, {"id": "c", "w": 1}],
+                      "edges": [["a", "b"], ["b", "c"]], "auxiliary": True},
+    "leaf_on_two": {"vertices": [{"id": "a", "w": 1}, {"id": "b", "w": 2}],
+                    "edges": [["a", "b"]], "auxiliary": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_1_LEAF))
+def test_weight_1_leaf_is_not_minimal(name, tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(WEIGHT_1_LEAF[name]))
+    code, doc = run_json(["analyze", str(g)], tmp_path)
+    assert code == 0 and doc["negative_definite"] and doc["minimal"] is False
+    assert "certificate" not in doc
+    (tmp_path / "out.json").unlink()
+    for argv in (["certify-minimal"], ["decompose", "--x", "a", "--y", "b"]):
+        assert run_json([argv[0], str(g), *argv[1:]], tmp_path) == (2, None)
+        err = capsys.readouterr().err
+        assert "NotMinimal" in err and "Traceback" not in err

@@ -323,8 +323,8 @@ def test_separation_check_matches_reference():
     ):
         rep = separation_check(n, i, j, 6, trunc, seed)
         bad = ref_separation_failures(n, i, j, 6, trunc, seed)
-        assert list(rep.counterexamples) == bad
-        assert rep.passed is (not bad)
+        assert rep["counterexamples"] == bad
+        assert rep["passed"] is (not bad)
 
 
 def test_separation_check_validates_truncation_only_when_sampling():

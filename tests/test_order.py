@@ -76,7 +76,12 @@ def test_relation_matrix_a1_empty():
 def test_relation_matrix_verdicts_recomputable_from_witnesses(negdef_corpus):
     for g in negdef_corpus[:60]:
         rm = relation_matrix(g)
+        ordered = {(i, j) for i in range(g.n) for j in range(g.n) if i != j}
+        with_ij = {pair for pair, rel in rm.pairs() if rel.witness_ij is not None}
+        assert rm.non_inclusions() == with_ij
+        assert rm.open_pairs() == ordered - with_ij
         for (i, j), rel in rm.pairs():
+            assert rm.get(j, i) == rel.reversed()
             has_ij = rel.witness_ij is not None
             has_ji = rel.witness_ji is not None
             if has_ij and has_ji:
