@@ -20,7 +20,6 @@ from .graph import (
     cached_on_graph,
     dot_quote,
     graph_is_negative_definite,
-    make_graph,
     rooted,
     serialize_graph,
 )
@@ -62,36 +61,32 @@ class ContractionTrace:
 
 
 def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
-    """Greedy blow-down of weight-1, valence <= 2 vertices, smallest index first."""
+    """Greedy blow-down of weight-1, valence <= 2 vertices, smallest index first.
+
+    g is a tree, and blowing down a valence-2 vertex joins two vertices
+    that were at distance 2, so every graph along the way is a tree and
+    no blow-down can create a multi-edge.
+    """
     # dicts keep insertion order across deletions, so scanning `weight`
     # visits the vertices left by index and the first eligible is smallest
-    weight = dict(zip(g.ids, g.weights))
-    adj: dict[str, set[str]] = {vid: set() for vid in g.ids}
-    for i, j in g.edges:
-        adj[g.ids[i]].add(g.ids[j])
-        adj[g.ids[j]].add(g.ids[i])
-    order = {vid: k for k, vid in enumerate(g.ids)}
+    weight = dict(enumerate(g.weights))
+    adj = [set(a) for a in g.adj]
     steps: list[BlowDownStep] = []
     while weight:
-        for vid in weight:
-            if weight[vid] != 1 or len(adj[vid]) > 2:
-                continue
-            if len(adj[vid]) == 2:
-                a, b = adj[vid]
-                if b in adj[a]:  # joining would create a multi-edge
-                    continue
-            break
+        for v in weight:
+            if weight[v] == 1 and len(adj[v]) <= 2:
+                break
         else:
             return ContractionTrace(steps=tuple(steps), empty=False)
-        nbrs = sorted(adj[vid], key=order.__getitem__)
+        nbrs = sorted(adj[v])
         for u in nbrs:
             weight[u] -= 1
-            adj[u].discard(vid)
+            adj[u].discard(v)
         if len(nbrs) == 2:
             adj[nbrs[0]].add(nbrs[1])
             adj[nbrs[1]].add(nbrs[0])
-        del weight[vid], adj[vid]
-        steps.append(BlowDownStep(vertex=vid, neighbors=tuple(nbrs)))
+        del weight[v]
+        steps.append(BlowDownStep(g.ids[v], tuple(g.ids[u] for u in nbrs)))
     return ContractionTrace(steps=tuple(steps), empty=True)
 
 
@@ -119,19 +114,6 @@ class DecompositionCertificate:
     contraction: ContractionTrace
 
 
-def _extend_to_leaf(g: WeightedDualGraph, path: list[int], end: int) -> list[int]:
-    """Prolong the path beyond `end` by smallest-index neighbors until a leaf."""
-    on_path = set(path)
-    tail = [end]
-    while True:
-        options = [u for u in g.neighbors(tail[-1]) if u not in on_path]
-        if not options:
-            return tail[1:]
-        nxt = min(options)
-        on_path.add(nxt)
-        tail.append(nxt)
-
-
 @dataclass(frozen=True)
 class _LeafEmbedding:
     """The part of a bamboo decomposition fixed by its starting leaf z_1."""
@@ -155,26 +137,32 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
     surplus = sum(w - g.valence(v) for v, w in enumerate(g.weights))
     if surplus > MAX_ATTACHED:
         raise BadWeight(f"weights exceed valences by more than {MAX_ATTACHED} in all")
-    vertices = list(zip(g.ids, g.weights))
-    edges = [(g.ids[i], g.ids[j]) for i, j in sorted(g.edges)]
+    # g keeps its indices 0..n-1; attached vertices take n, n+1, ...
+    ids = list(g.ids)
+    edges = set(g.edges)
     taken = set(g.ids)
     attached: dict[str, int] = {}
     aux_of: list[list[str]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
+    for v, vid in enumerate(g.ids):
         w, val = g.weights[v], g.valence(v)
         count = max(w - val - 1, 0) if v == z1 else w - val
-        attached[g.ids[v]] = count
+        attached[vid] = count
         suffix = 1
         for _ in range(count):
-            while f"{g.ids[v]}+{suffix}" in taken:
+            while f"{vid}+{suffix}" in taken:
                 suffix += 1
-            aux_id = f"{g.ids[v]}+{suffix}"
+            aux_id = f"{vid}+{suffix}"
             taken.add(aux_id)
             suffix += 1
-            vertices.append((aux_id, 1))
-            edges.append((g.ids[v], aux_id))
+            edges.add((v, len(ids)))
+            ids.append(aux_id)
             aux_of[v].append(aux_id)
-    supergraph = make_graph(vertices, edges, auxiliary=True)
+    supergraph = WeightedDualGraph(
+        ids=tuple(ids),
+        weights=g.weights + (1,) * (len(ids) - g.n),
+        edges=frozenset(edges),
+        auxiliary=True,
+    )
 
     # one piece per weight-1 vertex: the path from z_1 to it, in the
     # order the weight-1 vertices were attached
@@ -206,10 +194,16 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
         raise NotMinimal("bamboo decomposition requires a minimal graph")
     xi, yi = g.index_of(x), g.index_of(y)
 
-    core = list(g.path(xi, yi))
-    head = _extend_to_leaf(g, core, core[0])
-    tail = _extend_to_leaf(g, core, core[-1])
-    bamboo = list(reversed(head)) + core + tail
+    core = g.path(xi, yi)
+    head: list[int] = []
+    tail: list[int] = []
+    for walk, prev, v in ((head, core[1], core[0]), (tail, core[-2], core[-1])):
+        # prolong beyond v, away from prev, by smallest-index neighbours to a leaf
+        while g.valence(v) > 1:
+            nbrs = g.adj[v]
+            prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
+            walk.append(v)
+    bamboo = head[::-1] + list(core) + tail
     emb = _leaf_embedding(g, bamboo[0])
 
     designated = next(
@@ -226,7 +220,7 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
         pieces=emb.pieces,
         designated=designated,
         m=len(bamboo),
-        positions=(bamboo.index(xi) + 1, bamboo.index(yi) + 1),
+        positions=(len(head) + 1, len(head) + len(core)),
         contraction=emb.contraction,
     )
 
@@ -304,9 +298,7 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
             quotient = quotients[cert.m]
             px, py = cert.positions
             rel = an_relation(cert.m, px - 1, py - 1)
-            mapping = {
-                k: g.index_of(vid) for k, vid in enumerate(cert.bamboo)
-            }
+            mapping = {k: g.index[vid] for k, vid in enumerate(cert.bamboo)}
             proven = propagate(g, quotient, mapping, (px - 1, py - 1), rel)
             assert set(proven) == {(xi, yi), (yi, xi)}
             evidence = {

@@ -239,6 +239,11 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
         "n": n,
         "family": i,
     }
+    passed = True
+    if args.against is not None:  # before sampling, so a bad --against fails fast
+        lo, hi = sorted((i, args.against))
+        doc["separation"] = separation_check(n, lo, hi, args.samples, trunc, args.seed)
+        passed = doc["separation"]["passed"]
     records = []
     ok = True
     for s in range(args.samples):
@@ -256,13 +261,8 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
         )
     doc["arcs"] = records
     doc["orders_match"] = ok
-    if args.against is not None:
-        lo, hi = sorted((i, args.against))
-        rep = separation_check(n, lo, hi, args.samples, trunc, args.seed)
-        doc["separation"] = rep
-        ok = ok and rep["passed"]
     _emit(doc, args.out)
-    return 0 if ok else 1
+    return 0 if ok and passed else 1
 
 
 def cmd_an_order(args: argparse.Namespace) -> int:

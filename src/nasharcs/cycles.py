@@ -22,7 +22,6 @@ from .errors import (
 )
 from .graph import (
     WeightedDualGraph,
-    adjacency,
     cached_on_graph,
     graph_is_negative_definite,
     rooted,
@@ -44,7 +43,7 @@ def _check_cycle(g: WeightedDualGraph, z: Sequence[int]) -> Cycle:
 
 def intersection_products(g: WeightedDualGraph, z: Sequence) -> tuple:
     """Components of M.z, via the sparse tree structure (exact)."""
-    adj = adjacency(g)
+    adj = g.adj
     return tuple(
         -g.weights[i] * z[i] + sum(z[j] for j in adj[i]) for i in range(g.n)
     )

@@ -25,18 +25,21 @@ T = TypeVar("T")
 class WeightedDualGraph:
     """Immutable weighted tree; vertices are dense indices 0..n-1 with string ids.
 
-    Equality and hashing use the four data fields only.  Derived per-graph
-    data (adjacency, rooted walks, definiteness, fundamental cycle, ray
-    basis, relation table, ...) is memoized in `_memo`, a dict owned by
-    this instance and filled by functions decorated with `cached_on_graph`;
-    it is dropped with the graph, and a lookup never hashes or compares
-    the graph.
+    Equality, hashing and `repr` use the four data fields only.  The
+    constructor also builds `adj`, each vertex's sorted neighbours, and
+    `index`, the id -> index dict.  Other derived per-graph data (rooted
+    walks, definiteness, fundamental cycle, ray basis, relation table,
+    ...) is memoized in `_memo`, a dict owned by this instance and filled
+    by functions decorated with `cached_on_graph`; it is dropped with the
+    graph, and a lookup never hashes or compares the graph.
     """
 
     ids: tuple[str, ...]
     weights: tuple[int, ...]
     edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
     auxiliary: bool = False
+    adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
     _memo: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -45,7 +48,8 @@ class WeightedDualGraph:
         n = len(self.ids)
         if n == 0:
             raise MalformedDocument("graph needs at least one vertex")
-        if len(set(self.ids)) != n:
+        index = {vid: k for k, vid in enumerate(self.ids)}
+        if len(index) != n:
             raise MalformedDocument("duplicate vertex ids")
         if len(self.weights) != n:
             raise MalformedDocument("weights length does not match vertices")
@@ -60,16 +64,14 @@ class WeightedDualGraph:
                 raise MalformedDocument(f"edge {e} out of range")
             if i >= j:
                 raise MalformedDocument(f"edge {e} not normalized or self-loop")
-        if len(self.edges) != n - 1 or not self._connected():
-            raise NotATree("graph must be a connected tree")
-
-    def _connected(self) -> bool:
-        # its own adjacency, so that construction leaves `_memo` empty
-        adj: list[list[int]] = [[] for _ in range(len(self.ids))]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        return len(_walk(adj, 0)[0]) == len(self.ids)
+        if len(self.edges) != n - 1 or len(_walk(adj, 0)[0]) != n:
+            raise NotATree("graph must be a connected tree")
+        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "index", index)
 
     @property
     def n(self) -> int:
@@ -77,15 +79,15 @@ class WeightedDualGraph:
 
     def index_of(self, vid: str) -> int:
         try:
-            return vertex_index(self)[vid]
+            return self.index[vid]
         except KeyError:
             raise MalformedDocument(f"unknown vertex id {vid!r}") from None
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return adjacency(self)[i]
+        return self.adj[i]
 
     def valence(self, i: int) -> int:
-        return len(adjacency(self)[i])
+        return len(self.adj[i])
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.valence(i) <= 1)
@@ -234,26 +236,10 @@ def _walk(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]
 
 
 @cached_on_graph
-def adjacency(g: WeightedDualGraph) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor lists, computed once per graph."""
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        out[i].append(j)
-        out[j].append(i)
-    return tuple(tuple(sorted(nbrs)) for nbrs in out)
-
-
-@cached_on_graph
 def rooted(g: WeightedDualGraph, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Breadth-first vertex order from `root`, and each vertex's parent (-1 at the root)."""
-    order, parent = _walk(adjacency(g), root)
+    order, parent = _walk(g.adj, root)
     return tuple(order), tuple(parent)
-
-
-@cached_on_graph
-def vertex_index(g: WeightedDualGraph) -> dict[str, int]:
-    """Vertex id -> dense index."""
-    return {vid: k for k, vid in enumerate(g.ids)}
 
 
 def tree_determinants(

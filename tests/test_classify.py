@@ -86,6 +86,21 @@ def test_contract_trace_records_steps():
     assert trace.steps[0].neighbors == ("b",)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, first",
+    [
+        ([("x", 1), ("z", 2), ("b", 2)], [("x", "z"), ("x", "b")], ("x", ("z", "b"))),
+        ([("y", 1), ("a", 1)], [("y", "a")], ("y", ("a",))),
+    ],
+    ids=["neighbors", "vertex"],
+)
+def test_contract_orders_by_index_not_id(vertices, edges, first):
+    # the first eligible vertex and its neighbors come in vertex order;
+    # sorting by id would give ("x", ("b", "z")) and ("a", ("y",))
+    step = contracts_to_empty(make_graph(vertices, edges, auxiliary=True)).steps[0]
+    assert (step.vertex, step.neighbors) == first
+
+
 def test_contract_order_robust(minimal_corpus):
     # greedy reaches Empty iff some blow-down order does
     checked = 0

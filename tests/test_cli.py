@@ -278,6 +278,23 @@ def test_an_order_above_cap_exits_2_fast(n, tmp_path, capsys):
     assert "BadParameter" in err and "128" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "against, error",
+    [("3", "SameVertex"), ("40", "BadFamilyIndex")],
+    ids=["same_as_family", "out_of_range"],
+)
+def test_an_arcs_bad_against_exits_2_before_sampling(against, error, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    start = time.perf_counter()
+    code = main(["an-arcs", "--n", "12", "--family", "3", "--samples", "100000",
+                 "--against", against, "--out", str(out)])
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists() and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and error in lines[0]
+
+
 def test_an_arcs_help_states_truncation_cap(capsys):
     assert main(["an-arcs", "--help"]) == 0
     assert "at most 1024" in capsys.readouterr().out

@@ -26,6 +26,7 @@ from nasharcs.cycles import integer_rays, order_cycle_witness, ray_basis
 from nasharcs.errors import BadParameter, TruncationTooSmall
 from nasharcs.generators import _tree_from_edges, an_graph, random_tree_edges
 from nasharcs.graph import (
+    WeightedDualGraph,
     graph_is_negative_definite,
     make_graph,
     rooted,
@@ -174,12 +175,25 @@ def test_relation_lookup_matches_stored_pairs(negdef_corpus):
             assert rm.get(*pair) is rel
 
 
+def _reference_extend_to_leaf(g, path, end):
+    """Prolong the path beyond `end` by smallest-index neighbors off the path, to a leaf."""
+    on_path = set(path)
+    tail = [end]
+    while True:
+        options = [u for u in g.neighbors(tail[-1]) if u not in on_path]
+        if not options:
+            return tail[1:]
+        nxt = min(options)
+        on_path.add(nxt)
+        tail.append(nxt)
+
+
 def _reference_decomposition(g, x, y):
     """The per-pair construction: fresh supergraph, tree paths, first-match scan."""
     xi, yi = g.index_of(x), g.index_of(y)
     core = list(g.path(xi, yi))
-    head = classify._extend_to_leaf(g, core, core[0])
-    tail = classify._extend_to_leaf(g, core, core[-1])
+    head = _reference_extend_to_leaf(g, core, core[0])
+    tail = _reference_extend_to_leaf(g, core, core[-1])
     bamboo = list(reversed(head)) + core + tail
     z1 = bamboo[0]
     vertices = list(zip(g.ids, g.weights))
@@ -244,6 +258,27 @@ def test_memo_is_per_instance_and_outside_equality():
     ray_basis(a)
     assert a._memo and not b._memo
     assert a == b and hash(a) == hash(b)
+    # adjacency and the id index are built with the graph, outside equality
+    vertices = [("b", 2), ("a", 3), ("c", 2), ("d", 2)]
+    direct = WeightedDualGraph(
+        ids=("b", "a", "c", "d"),
+        weights=(2, 3, 2, 2),
+        edges=frozenset({(0, 1), (1, 2), (1, 3)}),
+    )
+    built = make_graph(vertices, [("d", "a"), ("a", "b"), ("c", "a")])
+    for g in (direct, built):
+        assert not g._memo
+        assert g.adj == ((1,), (0, 2, 3), (1,), (1,))
+        assert g.index == {"b": 0, "a": 1, "c": 2, "d": 3}
+    assert direct == built and hash(direct) == hash(built)
+    assert repr(direct) == repr(built)
+    assert "adj" not in repr(direct) and "index" not in repr(direct)
+    # the derived fields never decide equality, hashing or repr
+    other = an_graph(4)
+    object.__setattr__(other, "adj", direct.adj)
+    object.__setattr__(other, "index", direct.index)
+    assert other == an_graph(4) and hash(other) == hash(an_graph(4))
+    assert repr(other) == repr(an_graph(4))
 
 
 # --- A_n arcs: integer series against the Fraction reference -------------
