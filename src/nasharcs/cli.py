@@ -49,9 +49,10 @@ from .order import hasse_export, relation_matrix, serialize_relation_matrix
 # linearly (at n=3, one arc of 2000 terms takes about 19 times one of 1000)
 MAX_TRUNC = 1024
 
-# largest A_n `an-order` will relate: its report holds n (n - 1) pairs of
-# n-entry witnesses, so output and time grow as n^3 (56 MB at n = 128)
-MAX_AN_ORDER = 128
+# most vertices `analyze`, `order`, `certify-minimal` and `an-order` take:
+# their reports hold n (n - 1) pairs of n-entry witnesses, so output and
+# time grow as n^3 (56 MB for `order` at n = 128)
+MAX_VERTICES = 128
 
 
 def _load_graph(path: str) -> WeightedDualGraph:
@@ -61,6 +62,13 @@ def _load_graph(path: str) -> WeightedDualGraph:
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"not UTF-8 text: {exc}") from None
     return parse_graph(text)
+
+
+def _load_capped_graph(path: str) -> WeightedDualGraph:
+    g = _load_graph(path)
+    if g.n > MAX_VERTICES:
+        raise BadParameter(f"graph has {g.n} vertices, above the cap {MAX_VERTICES}")
+    return g
 
 
 # characters gathered before one write; a write can exceed it by one piece
@@ -173,7 +181,7 @@ def _header(**extra: Any) -> dict[str, Any]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_capped_graph(args.graph)
     report: dict[str, Any] = {
         "header": _header(),
         "graph": serialize_graph(g),
@@ -205,11 +213,11 @@ def _order_report(g: WeightedDualGraph, args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    return _order_report(_load_graph(args.graph), args)
+    return _order_report(_load_capped_graph(args.graph), args)
 
 
 def cmd_certify_minimal(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_capped_graph(args.graph)
     cert = certify_minimal(g)
     doc = {"header": _header()}
     doc.update(serialize_certificate(cert))
@@ -266,8 +274,8 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
 
 
 def cmd_an_order(args: argparse.Namespace) -> int:
-    if args.n > MAX_AN_ORDER:
-        raise BadParameter(f"--n {args.n} is above the cap {MAX_AN_ORDER}")
+    if args.n > MAX_VERTICES:
+        raise BadParameter(f"--n {args.n} is above the cap {MAX_VERTICES}")
     return _order_report(an_graph(args.n), args)
 
 
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_an_arcs)
 
     p = sub.add_parser("an-order", help="order relation on the built-in A_n graph")
-    p.add_argument("--n", type=int, required=True, help=f"at most {MAX_AN_ORDER}")
+    p.add_argument("--n", type=int, required=True, help=f"at most {MAX_VERTICES}")
     p.add_argument("--dot")
     common(p)
     p.set_defaults(func=cmd_an_order)

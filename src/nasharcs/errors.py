@@ -43,24 +43,17 @@ class EqualityDetected(NashArcsError):
 
 
 class InconsistentRelation(NashArcsError):
-    """Post-hoc check of the relation table failed (internal error)."""
+    """Internal check failed: a relation disagrees with its witnesses, or
+    a certificate's supergraph does not blow down to empty."""
 
 
 class NotMinimal(NashArcsError):
     """Graph fails the minimality criterion required by the operation."""
 
 
-class NotRational(NashArcsError):
-    """Graph fails the rationality hypothesis required by the operation."""
-
-
-class NotInImage(NashArcsError):
-    """Vertex pair is not covered by the propagation mapping."""
-
-
 class BadParameter(NashArcsError):
-    """Parameter out of range: the size or weight list of a built-in graph
-    family, an arc sample count, or a polynomial's monomial key."""
+    """Parameter out of range: the size of a graph file or of the built-in
+    A_n, an arc sample count or truncation, or a polynomial's monomial key."""
 
 
 class BadFamilyIndex(NashArcsError):

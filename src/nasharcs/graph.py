@@ -83,14 +83,8 @@ class WeightedDualGraph:
         except KeyError:
             raise MalformedDocument(f"unknown vertex id {vid!r}") from None
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adj[i]
-
     def valence(self, i: int) -> int:
         return len(self.adj[i])
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.valence(i) <= 1)
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
         """Unique tree path from i to j, endpoints included."""

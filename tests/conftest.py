@@ -8,10 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nasharcs.generators import (
-    random_minimal_graph,
-    random_negative_definite_graph,
-)
+from builders import random_minimal_graph, random_negative_definite_graph
 
 
 @pytest.fixture(scope="session")

@@ -107,7 +107,7 @@ def enumerate_anti_nef(g: WeightedDualGraph, max_coeff: int = 12) -> list[tuple[
     """
     n = g.n
     rows = intersection_rows(g)
-    nbrs = [list(g.neighbors(i)) for i in range(n)]
+    nbrs = [list(g.adj[i]) for i in range(n)]
     # rows whose bound involves vertex k and whose own vertex is assigned by then
     touched: list[list[int]] = [
         [r for r in [k] + nbrs[k] if r <= k] for k in range(n)

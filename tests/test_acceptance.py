@@ -18,10 +18,11 @@ from nasharcs.arcs import (
 )
 from nasharcs.classify import certify_minimal, contracts_to_empty, is_minimal, serialize_certificate
 from nasharcs.cycles import fundamental_cycle, is_anti_nef, is_rational
-from nasharcs.generators import an_graph, e6_graph
+from nasharcs.generators import an_graph
 from nasharcs.graph import make_graph
 from nasharcs.order import Verdict, relate, relation_matrix
 
+from builders import e6_graph
 from oracles import minimal_anti_nef_by_enumeration
 
 

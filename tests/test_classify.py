@@ -1,24 +1,28 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from nasharcs import classify
 from nasharcs.classify import (
+    ContractionTrace,
     Rule,
     certify_minimal,
     contracts_to_empty,
     decompose_minimal,
     is_an,
     is_minimal,
-    propagate,
     serialize_certificate,
     serialize_decomposition,
     supergraph_dot,
 )
-from nasharcs.errors import NotInImage, NotMinimal, NotRational, SameVertex
-from nasharcs.generators import an_graph, e6_graph
-from nasharcs.graph import make_graph, parse_graph
-from nasharcs.order import NashRelation, an_relation
+from nasharcs.cli import main
+from nasharcs.errors import InconsistentRelation, NotMinimal, SameVertex
+from nasharcs.generators import an_graph
+from nasharcs.graph import make_graph, parse_graph, serialize_graph
 
+from builders import e6_graph
 from oracles import dot_ids, exhaustive_contraction_orders, graph_state
 
 
@@ -190,48 +194,6 @@ def test_decomposition_serialization():
     assert "lightgrey" in dot and dot.startswith("graph")
 
 
-# ------------------------------------------------------------------- propagation
-
-def test_propagate_incomparable_proves_both():
-    source = bamboo_322()
-    quotient = an_graph(3)
-    rel = an_relation(3, 0, 2)
-    proven = propagate(source, quotient, {0: 0, 1: 1, 2: 2}, (0, 2), rel)
-    assert set(proven) == {(0, 2), (2, 0)}
-
-
-def test_propagate_less_proves_one_direction():
-    source = bamboo_322()
-    quotient = an_graph(3)
-    rel = NashRelation((1, 2, 3), None)
-    assert propagate(source, quotient, {0: 0, 1: 1, 2: 2}, (0, 1), rel) == [(0, 1)]
-
-
-def test_propagate_missing_vertex():
-    with pytest.raises(NotInImage):
-        propagate(
-            bamboo_322(), an_graph(3), {0: 0}, (0, 2), an_relation(3, 0, 2)
-        )
-
-
-def test_propagate_identity_mapping():
-    g = an_graph(4)
-    rel = an_relation(4, 1, 3)
-    assert set(propagate(g, g, {k: k for k in range(4)}, (1, 3), rel)) == {
-        (1, 3),
-        (3, 1),
-    }
-
-
-def test_propagate_requires_rational():
-    weights = [3, 2, 3, 3, 3, 2, 2, 2]
-    edges = [(0, 1), (0, 4), (0, 6), (2, 6), (3, 6), (5, 6), (5, 7)]
-    ids = [f"v{k}" for k in range(8)]
-    bad = make_graph(list(zip(ids, weights)), [(ids[i], ids[j]) for i, j in edges])
-    with pytest.raises(NotRational):
-        propagate(bad, an_graph(2), {0: 0, 1: 1}, (0, 1), an_relation(2, 0, 1))
-
-
 # ----------------------------------------------------------------- certification
 
 def _all_proven(cert) -> bool:
@@ -259,6 +221,21 @@ def test_certify_bamboo_322():
 def test_certify_rejects_non_minimal():
     with pytest.raises(NotMinimal):
         certify_minimal(e6_graph())
+
+
+def test_certify_refuses_supergraph_that_does_not_blow_down(monkeypatch, tmp_path, capsys):
+    # the blow-down is what maps the supergraph onto the A_m quotient; a
+    # pair may be written as proven only when it succeeds.  Fresh graphs,
+    # because the embedding is cached on the graph object.
+    monkeypatch.setattr(classify, "contracts_to_empty", lambda sg: ContractionTrace((), False))
+    with pytest.raises(InconsistentRelation):
+        certify_minimal(bamboo_322())
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(serialize_graph(bamboo_322())))
+    assert main(["certify-minimal", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: InconsistentRelation: ") and err.count("\n") == 1
 
 
 def test_certify_corpus_no_open_pairs(minimal_corpus):

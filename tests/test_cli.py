@@ -6,9 +6,11 @@ import time
 
 import pytest
 
+from nasharcs import cli
 from nasharcs.cli import main
-from nasharcs.generators import an_graph, e6_graph
+from nasharcs.generators import an_graph
 from nasharcs.graph import serialize_graph
+from builders import e6_graph
 
 
 @pytest.fixture()
@@ -178,12 +180,9 @@ def test_an_order_bad_size_is_usage_error(n, tmp_path, capsys):
 
 def test_generator_range_errors_are_package_errors():
     from nasharcs.errors import BadParameter
-    from nasharcs.generators import dn_shape_graph
 
-    for build in (lambda: an_graph(0), lambda: dn_shape_graph(3),
-                  lambda: dn_shape_graph(5, weights=[2, 2])):
-        with pytest.raises(BadParameter):
-            build()
+    with pytest.raises(BadParameter):
+        an_graph(0)
 
 
 def test_certify_minimal_with_plus_ids(tmp_path):
@@ -276,6 +275,42 @@ def test_an_order_above_cap_exits_2_fast(n, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and not out.exists()
     assert "BadParameter" in err and "128" in err and "Traceback" not in err
+
+
+def _path_file(tmp_path, n):
+    path = tmp_path / f"a{n}.json"
+    path.write_text(json.dumps(serialize_graph(an_graph(n))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "order", "certify-minimal"])
+def test_graph_file_above_cap_exits_2_fast(command, tmp_path, capsys):
+    # the report would grow as n^3
+    graph = _path_file(tmp_path, 129)
+    out = tmp_path / "o.json"
+    start = time.perf_counter()
+    code = main([command, graph, "--out", str(out)])
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists() and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BadParameter") and "129" in lines[0]
+
+
+def test_decompose_above_cap_still_runs(tmp_path):
+    # its report is O(n), so the vertex cap does not apply
+    graph = _path_file(tmp_path, 129)
+    code, doc = run_json(["decompose", graph, "--x", "E1", "--y", "E129"], tmp_path)
+    assert code == 0 and doc["m"] == 129
+
+
+@pytest.mark.parametrize("command", ["analyze", "order", "certify-minimal"])
+def test_graph_file_cap_boundary(command, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "MAX_VERTICES", 3)
+    for n, expected in ((3, 0), (4, 2)):
+        out = tmp_path / f"o{n}.json"
+        assert main([command, _path_file(tmp_path, n), "--out", str(out)]) == expected
+        assert out.exists() == (expected == 0)
 
 
 @pytest.mark.parametrize(

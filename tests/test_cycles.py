@@ -24,9 +24,10 @@ from nasharcs.errors import (
     SameVertex,
     ZeroCycle,
 )
-from nasharcs.generators import an_graph, e6_graph
+from nasharcs.generators import an_graph
 from nasharcs.graph import make_graph
 
+from builders import e6_graph
 from oracles import (
     anti_nef_naive,
     gaussian_determinant,

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from nasharcs.errors import BadWeight, MalformedDocument, NotATree
-from nasharcs.generators import an_graph, random_negative_definite_graph
+from nasharcs.generators import an_graph
 from nasharcs.graph import (
     graph_is_negative_definite,
     make_graph,
@@ -15,6 +15,7 @@ from nasharcs.graph import (
     tree_determinants,
 )
 
+from builders import _tree_from_edges, random_negative_definite_graph, random_tree_edges
 from oracles import intersection_rows, negative_definite_by_minors, negative_definite_by_sylvester
 
 A2_DOC = {
@@ -172,8 +173,6 @@ def test_negative_definite_matches_minor_oracle():
     seen = {True: 0, False: 0}
     for _ in range(40):
         n = rng.randint(1, 6)
-        from nasharcs.generators import random_tree_edges, _tree_from_edges
-
         edges = random_tree_edges(n, rng)
         weights = [rng.randint(2, 4) for _ in range(n)]
         g = _tree_from_edges(n, edges, weights)

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from nasharcs.cycles import is_anti_nef
+from nasharcs.cycles import is_anti_nef, ray_basis
 from nasharcs.errors import SameVertex
-from nasharcs.generators import an_graph, e6_graph
+from nasharcs.generators import an_graph
 from nasharcs.graph import make_graph, serialize_graph
 from nasharcs.order import (
     Verdict,
@@ -15,6 +15,7 @@ from nasharcs.order import (
     relation_matrix,
     serialize_relation_matrix,
 )
+from builders import e6_graph
 from oracles import dot_ids
 
 
@@ -45,6 +46,18 @@ def test_bamboo_canonical_witnesses_verify(n):
         for j in range(i + 1, n):
             assert up[i] < up[j]
             assert down[j] < down[i]
+
+
+def test_minimal_graph_columns_peak_on_diagonal(minimal_corpus):
+    # rooted at j, column j of (-M)^-1 strictly decreases away from j when
+    # w >= max(valence, 2) everywhere, so it separates (i, j) for every i
+    # and the order criterion alone proves every pair of a minimal graph
+    for g in [*minimal_corpus, *(an_graph(n) for n in range(2, 11))]:
+        for j, column in enumerate(ray_basis(g).columns):
+            assert all(column[i] < column[j] for i in range(g.n) if i != j)
+        rm = relation_matrix(g)
+        assert rm.open_pairs() == frozenset()
+        assert all(rel.verdict is Verdict.INCOMPARABLE for _, rel in rm.pairs())
 
 
 def test_two_vertex_weights_2_3_incomparable():

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from nasharcs.generators import an_graph, e6_graph
+from nasharcs.generators import an_graph
 from nasharcs.graph import serialize_graph
+from builders import e6_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
