@@ -9,10 +9,9 @@ into `Fraction`s only in the returned values; randomness is fully seeded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadFamilyIndex,
@@ -113,8 +112,7 @@ def series_order(a: Sequence[Q]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class TruncatedArc:
+class TruncatedArc(NamedTuple):
     """Arc of the family N_i on z^(n+1) = x y, truncated at order `trunc`."""
 
     n: int

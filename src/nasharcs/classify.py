@@ -9,8 +9,7 @@ the bamboo's A_m quotient once the supergraph is checked to blow down.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .cycles import fundamental_cycle, is_rational
 from .errors import BadWeight, InconsistentRelation, NotMinimal, SameVertex
@@ -47,14 +46,12 @@ def is_an(g: WeightedDualGraph) -> int | None:
     return g.n  # a tree with max valence 2 is a path
 
 
-@dataclass(frozen=True)
-class BlowDownStep:
+class BlowDownStep(NamedTuple):
     vertex: str
     neighbors: tuple[str, ...]  # reconnected when there are two
 
 
-@dataclass(frozen=True)
-class ContractionTrace:
+class ContractionTrace(NamedTuple):
     steps: tuple[BlowDownStep, ...]
     empty: bool  # False when the blow-downs stop short of Empty
 
@@ -89,8 +86,7 @@ def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
     return ContractionTrace(steps=tuple(steps), empty=True)
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(NamedTuple):
     """Embedding of a minimal graph into a non-singular supergraph.
 
     The bamboo is the x-y tree path prolonged to two leaves z_1, z_2 of
@@ -113,22 +109,14 @@ class DecompositionCertificate:
     contraction: ContractionTrace
 
 
-@dataclass(frozen=True)
-class _LeafEmbedding:
-    """The part of a bamboo decomposition fixed by its starting leaf z_1."""
-
-    supergraph: WeightedDualGraph
-    attached: dict[str, int]
-    pieces: tuple[tuple[str, ...], ...]
-    piece_members: tuple[frozenset[str], ...]
-    contraction: ContractionTrace
-
-
 @cached_on_graph
-def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
+def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
     """Attach weight-1 vertices for the starting leaf z1, once per leaf.
 
-    Counts use weight and valence in g itself.  The k-th vertex attached
+    Returns the part of a bamboo decomposition fixed by z1: the
+    supergraph, the count attached to each vertex, the pieces, the
+    member set of each piece, and the supergraph's contraction.  Counts
+    use weight and valence in g itself.  The k-th vertex attached
     to v is named "{v}+{k}" unless that id is taken, in which case the
     next free suffix is used.  More than `MAX_ATTACHED` in all is refused
     before anything is built.
@@ -172,13 +160,8 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> _LeafEmbedding:
         trunk[v] = trunk[parent[v]] + (g.ids[v],)
     pieces = tuple(trunk[v] + (aux_id,) for v in range(g.n) for aux_id in aux_of[v])
 
-    return _LeafEmbedding(
-        supergraph=supergraph,
-        attached=attached,
-        pieces=pieces,
-        piece_members=tuple(frozenset(p) for p in pieces),
-        contraction=contracts_to_empty(supergraph),
-    )
+    members = tuple(frozenset(p) for p in pieces)
+    return supergraph, attached, pieces, members, contracts_to_empty(supergraph)
 
 
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
@@ -203,44 +186,29 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
             prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
             walk.append(v)
     bamboo = head[::-1] + list(core) + tail
-    emb = _leaf_embedding(g, bamboo[0])
+    supergraph, attached, pieces, members, contraction = _leaf_embedding(g, bamboo[0])
 
-    designated = next(
-        (k for k, members in enumerate(emb.piece_members) if x in members and y in members),
-        None,
-    )
+    designated = next((k for k, p in enumerate(members) if x in p and y in p), None)
     assert designated is not None  # z_2 is a leaf of g, so it carries an aux vertex
 
     return DecompositionCertificate(
         graph=g,
-        supergraph=emb.supergraph,
+        supergraph=supergraph,
         bamboo=tuple(g.ids[v] for v in bamboo),
-        attached=dict(emb.attached),
-        pieces=emb.pieces,
+        attached=dict(attached),
+        pieces=pieces,
         designated=designated,
         m=len(bamboo),
         positions=(len(head) + 1, len(head) + len(core)),
-        contraction=emb.contraction,
+        contraction=contraction,
     )
 
 
-class Rule:
-    ORDER_CRITERION = "OrderCriterion"
-    PROPAGATION = "Propagation"
-
-
-@dataclass
-class CertificateEntry:
-    rules: list[str] = field(default_factory=list)
-    evidence: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Per-ordered-pair proof record that closure(N_alpha) is not in closure(N_beta)."""
 
     graph: WeightedDualGraph
-    entries: dict[tuple[str, str], CertificateEntry]  # keyed by (alpha, beta)
+    entries: dict[tuple[str, str], dict[str, Any]]  # evidence, keyed by (alpha, beta)
 
 
 def certify_minimal(g: WeightedDualGraph) -> Certificate:
@@ -249,13 +217,15 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     Each unordered pair {x, y} gets a bamboo decomposition placing x and
     y on the weight-2 quotient A_m, where every pair is incomparable; the
     map onto A_m exists because the supergraph blows down, which is
-    checked.  Pairs the order criterion also settles directly on g are
-    cross-annotated.
+    checked.  On a minimal graph column j of the ray basis peaks strictly
+    at j (Lipman 1969), so the order criterion proves every ordered pair
+    on g as well, and each pair's evidence carries its order witness; a
+    pair without one raises `InconsistentRelation`.
     """
     if not is_minimal(g):
         raise NotMinimal("certification requires a minimal graph")
     rm = relation_matrix(g)
-    entries: dict[tuple[str, str], CertificateEntry] = {}
+    entries: dict[tuple[str, str], dict[str, Any]] = {}
     for xi in range(g.n):
         for yi in range(xi + 1, g.n):
             x, y = g.ids[xi], g.ids[yi]
@@ -274,17 +244,17 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
                 "witness_ji": rel.witness_ji,
             }
             for a, b in ((xi, yi), (yi, xi)):
-                entry = CertificateEntry(rules=[Rule.PROPAGATION], evidence=dict(evidence))
                 witness = rm.get(a, b).witness_ij
-                if witness is not None:
-                    entry.rules.append(Rule.ORDER_CRITERION)
-                    entry.evidence["order_witness"] = witness
-                entries[(g.ids[a], g.ids[b])] = entry
+                if witness is None:
+                    raise InconsistentRelation(
+                        f"no order witness for {g.ids[a]!r} below {g.ids[b]!r}"
+                    )
+                entries[(g.ids[a], g.ids[b])] = {**evidence, "order_witness": witness}
     return Certificate(graph=g, entries=entries)
 
 
 def serialize_certificate(c: Certificate) -> dict[str, Any]:
-    # certify_minimal proves every pair by propagation or raises, so each
+    # certify_minimal proves every pair by both rules or raises, so each
     # pair is "Proven" and none is open; the report keeps both fields
     return {
         "graph": serialize_graph(c.graph),
@@ -295,10 +265,10 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
                 "alpha": alpha,
                 "beta": beta,
                 "status": "Proven",
-                "rules": e.rules,
-                "evidence": e.evidence,
+                "rules": ["Propagation", "OrderCriterion"],
+                "evidence": evidence,
             }
-            for (alpha, beta), e in sorted(c.entries.items())
+            for (alpha, beta), evidence in sorted(c.entries.items())
         ],
         "open_pairs": [],
     }

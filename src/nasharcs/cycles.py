@@ -9,10 +9,9 @@ become rational only as the "p/q" strings of a report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -78,8 +77,7 @@ def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
         z[k] += 1
 
 
-@dataclass(frozen=True)
-class RayBasis:
+class RayBasis(NamedTuple):
     """(-M)^-1 as det(-M) and the integer columns of det(-M) (-M)^-1.
 
     Column k over `det` is the cycle Z_k with Z_k . E_l = -delta_kl.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import wraps
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -21,57 +20,82 @@ from .errors import BadWeight, MalformedDocument, NotATree
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
 class WeightedDualGraph:
     """Immutable weighted tree; vertices are dense indices 0..n-1 with string ids.
 
-    Equality, hashing and `repr` use the four data fields only.  The
-    constructor also builds `adj`, each vertex's sorted neighbours, and
-    `index`, the id -> index dict.  Other derived per-graph data (rooted
-    walks, definiteness, fundamental cycle, ray basis, relation table,
-    ...) is memoized in `_memo`, a dict owned by this instance and filled
-    by functions decorated with `cached_on_graph`; it is dropped with the
-    graph, and a lookup never hashes or compares the graph.
+    Equality, hashing and `repr` use the four data fields only, and no
+    attribute can be assigned once set.  The constructor also builds
+    `adj`, each vertex's sorted neighbours, and `index`, the id -> index
+    dict.  Other derived per-graph data (rooted walks, definiteness,
+    fundamental cycle, ray basis, relation table, ...) is memoized in
+    `_memo`, a dict owned by this instance and filled by functions
+    decorated with `cached_on_graph`; it is dropped with the graph, and a
+    lookup never hashes or compares the graph.
     """
 
-    ids: tuple[str, ...]
-    weights: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
-    auxiliary: bool = False
-    adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    index: dict[str, int] = field(init=False, compare=False, repr=False)
-    _memo: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    __slots__ = ("ids", "weights", "edges", "auxiliary", "adj", "index", "_memo")
 
-    def __post_init__(self) -> None:
-        n = len(self.ids)
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        weights: tuple[int, ...],
+        edges: frozenset[tuple[int, int]],  # pairs (i, j) with i < j
+        auxiliary: bool = False,
+    ) -> None:
+        self.ids, self.weights, self.edges, self.auxiliary = ids, weights, edges, auxiliary
+        n = len(ids)
         if n == 0:
             raise MalformedDocument("graph needs at least one vertex")
-        index = {vid: k for k, vid in enumerate(self.ids)}
+        index = {vid: k for k, vid in enumerate(ids)}
         if len(index) != n:
             raise MalformedDocument("duplicate vertex ids")
-        if len(self.weights) != n:
+        if len(weights) != n:
             raise MalformedDocument("weights length does not match vertices")
-        for w in self.weights:
+        for w in weights:
             if not isinstance(w, int) or w < 1:
                 raise BadWeight(f"weight {w!r} must be an integer >= 1")
-            if w == 1 and not self.auxiliary:
+            if w == 1 and not auxiliary:
                 raise BadWeight("weight 1 only allowed on auxiliary graphs")
-        for e in self.edges:
+        for e in edges:
             i, j = e
             if not (0 <= i < n and 0 <= j < n):
                 raise MalformedDocument(f"edge {e} out of range")
             if i >= j:
                 raise MalformedDocument(f"edge {e} not normalized or self-loop")
         adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.edges:
+        for i, j in edges:
             adj[i].append(j)
             adj[j].append(i)
-        if len(self.edges) != n - 1 or len(_walk(adj, 0)[0]) != n:
+        if len(edges) != n - 1 or len(_walk(adj, 0)[0]) != n:
             raise NotATree("graph must be a connected tree")
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "index", index)
+        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.index = index
+        self._memo: dict = {}
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.ids, self.weights, self.edges, self.auxiliary
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"WeightedDualGraph(ids={self.ids!r}, weights={self.weights!r}, "
+            f"edges={self.edges!r}, auxiliary={self.auxiliary!r})"
+        )
 
     @property
     def n(self) -> int:

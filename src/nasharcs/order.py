@@ -9,8 +9,7 @@ in the other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .cycles import Cycle, is_anti_nef, order_cycle_witness
 from .errors import EqualityDetected, InconsistentRelation, SameVertex
@@ -23,8 +22,7 @@ class Verdict(enum.Enum):
     GREATER = "greater"
 
 
-@dataclass(frozen=True)
-class NashRelation:
+class NashRelation(NamedTuple):
     """The two witness cycles of an ordered vertex pair (i, j).
 
     witness_ij, when present, is an anti-nef cycle whose coefficient at i
@@ -60,8 +58,7 @@ def relate(g: WeightedDualGraph, i: int, j: int) -> NashRelation:
     return rel
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(NamedTuple):
     """Complete relation table for a graph, plus the proven non-inclusions."""
 
     graph: WeightedDualGraph

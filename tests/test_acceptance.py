@@ -143,7 +143,7 @@ def test_criterion_6_minimal_certification(minimal_corpus):
         ok = ok and serialize_certificate(cert)["open_pairs"] == []
         ok = ok and len(cert.entries) == g.n * (g.n - 1)
         ok = ok and all(
-            e.evidence["supergraph_contracts"] for e in cert.entries.values()
+            e["supergraph_contracts"] for e in cert.entries.values()
         )
     ok = ok and (time.perf_counter() - start) < 120.0
     _report(6, "minimal certification, zero open pairs", ok)

@@ -7,7 +7,6 @@ import pytest
 from nasharcs import classify
 from nasharcs.classify import (
     ContractionTrace,
-    Rule,
     certify_minimal,
     contracts_to_empty,
     decompose_minimal,
@@ -21,6 +20,7 @@ from nasharcs.cli import main
 from nasharcs.errors import InconsistentRelation, NotMinimal, SameVertex
 from nasharcs.generators import an_graph
 from nasharcs.graph import make_graph, parse_graph, serialize_graph
+from nasharcs.order import NashRelation, RelationMatrix, relation_matrix
 
 from builders import e6_graph
 from oracles import dot_ids, exhaustive_contraction_orders, graph_state
@@ -201,21 +201,32 @@ def _all_proven(cert) -> bool:
     return doc["open_pairs"] == [] and all(p["status"] == "Proven" for p in doc["pairs"])
 
 
+def _both_rules(cert) -> bool:
+    """Every pair lists both rules and carries the relation table's order witness."""
+    g = cert.graph
+    rm = relation_matrix(g)
+    return all(
+        p["rules"] == ["Propagation", "OrderCriterion"]
+        and p["evidence"] is cert.entries[p["alpha"], p["beta"]]
+        and p["evidence"]["order_witness"]
+        == rm.get(g.index[p["alpha"]], g.index[p["beta"]]).witness_ij
+        for p in serialize_certificate(cert)["pairs"]
+    )
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_certify_bamboo(n):
     cert = certify_minimal(an_graph(n))
     assert _all_proven(cert)
-    for entry in cert.entries.values():
-        assert Rule.PROPAGATION in entry.rules
-        # on a weight-2 bamboo the order criterion also settles every pair
-        assert Rule.ORDER_CRITERION in entry.rules
+    # on a weight-2 bamboo the order criterion also settles every pair
+    assert _both_rules(cert)
 
 
 def test_certify_bamboo_322():
     cert = certify_minimal(bamboo_322())
     assert len(cert.entries) == 6
     assert _all_proven(cert)
-    assert all(Rule.PROPAGATION in e.rules for e in cert.entries.values())
+    assert _both_rules(cert)
 
 
 def test_certify_rejects_non_minimal():
@@ -238,6 +249,30 @@ def test_certify_refuses_supergraph_that_does_not_blow_down(monkeypatch, tmp_pat
     assert err.startswith("error: InconsistentRelation: ") and err.count("\n") == 1
 
 
+def test_certify_refuses_pair_without_order_witness(monkeypatch, tmp_path, capsys):
+    # column j of the ray basis peaks strictly at j on a minimal graph, so
+    # every ordered pair has an order witness; a table without one is
+    # inconsistent and must not be written with one rule only
+    real = classify.relation_matrix
+
+    def drop_one_witness(g):
+        rm = real(g)
+        relations = dict(rm.relations)
+        relations[0, 1] = NashRelation(None, relations[0, 1].witness_ji)
+        return RelationMatrix(rm.graph, relations)
+
+    monkeypatch.setattr(classify, "relation_matrix", drop_one_witness)
+    with pytest.raises(InconsistentRelation):
+        certify_minimal(bamboo_322())
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(serialize_graph(bamboo_322())))
+    out_path = tmp_path / "report.json"
+    assert main(["certify-minimal", str(path), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: InconsistentRelation: ") and err.count("\n") == 1
+
+
 def test_certify_corpus_no_open_pairs(minimal_corpus):
     for g in minimal_corpus[:15]:
         cert = certify_minimal(g)
@@ -248,16 +283,14 @@ def test_certify_corpus_no_open_pairs(minimal_corpus):
 def test_order_criterion_subset_of_propagation(minimal_corpus):
     # both rules only ever assert non-inclusion; propagation covers every
     # pair, so any pair the order criterion proves is jointly covered
-    from nasharcs.order import relation_matrix
-
     for g in minimal_corpus[:10]:
         cert = certify_minimal(g)
         assert _all_proven(cert)
         direct = relation_matrix(g).non_inclusions()
+        assert len(direct) == len(cert.entries)
         for (a, b) in direct:
-            entry = cert.entries[(g.ids[a], g.ids[b])]
-            assert Rule.PROPAGATION in entry.rules
-            assert Rule.ORDER_CRITERION in entry.rules
+            assert (g.ids[a], g.ids[b]) in cert.entries
+        assert _both_rules(cert)
 
 
 def test_certificate_serialization():

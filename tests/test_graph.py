@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from nasharcs.arcs import sample_arc
+from nasharcs.classify import certify_minimal, decompose_minimal
+from nasharcs.cycles import ray_basis
 from nasharcs.errors import BadWeight, MalformedDocument, NotATree
 from nasharcs.generators import an_graph
 from nasharcs.graph import (
@@ -14,6 +17,7 @@ from nasharcs.graph import (
     serialize_graph,
     tree_determinants,
 )
+from nasharcs.order import relation_matrix
 
 from builders import _tree_from_edges, random_negative_definite_graph, random_tree_edges
 from oracles import intersection_rows, negative_definite_by_minors, negative_definite_by_sylvester
@@ -193,3 +197,47 @@ def test_tree_path():
     assert g.path(0, 4) == (0, 1, 2, 3, 4)
     assert g.path(3, 1) == (3, 2, 1)
     assert g.path(2, 2) == (2,)
+
+
+@pytest.mark.parametrize("field", ["ids", "weights", "edges", "auxiliary"])
+def test_graph_fields_are_read_only(field):
+    g = an_graph(3)
+    before = getattr(g, field)
+    with pytest.raises(AttributeError):
+        setattr(g, field, before)
+    with pytest.raises(AttributeError):
+        delattr(g, field)
+    assert getattr(g, field) is before and g == an_graph(3)
+
+
+RECORDS = (
+    "RayBasis", "NashRelation", "RelationMatrix", "BlowDownStep",
+    "ContractionTrace", "DecompositionCertificate", "Certificate", "TruncatedArc",
+)
+
+
+def _record(name):
+    """An instance of the record class `name`, and one of its fields."""
+    g = an_graph(3)
+    rm = relation_matrix(g)
+    cert = decompose_minimal(g, "E1", "E3")
+    return {
+        "RayBasis": (ray_basis(g), "det"),
+        "NashRelation": (rm.get(0, 1), "witness_ij"),
+        "RelationMatrix": (rm, "relations"),
+        "BlowDownStep": (cert.contraction.steps[0], "vertex"),
+        "ContractionTrace": (cert.contraction, "empty"),
+        "DecompositionCertificate": (cert, "bamboo"),
+        "Certificate": (certify_minimal(g), "entries"),
+        "TruncatedArc": (sample_arc(2, 1, 4, 0), "x"),
+    }[name]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_read_only(name):
+    record, field = _record(name)
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    assert getattr(record, field) is before

@@ -1,12 +1,17 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and no more is loaded.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree with the stdlib `ast`: a name bound by a module-level `import` or
-`from ... import` must be read as a name somewhere in that module.
+`from ... import` must be read as a name somewhere in that module.  A
+fresh interpreter checks that loading the CLI, and with it every layer,
+does not pull in `dataclasses` or `inspect`.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,14 @@ def test_no_unused_module_imports(module):
 def test_unused_import_is_caught():
     source = "from .order import NashRelation, an_relation\n\nan_relation(3, 0, 1)\n"
     assert unused_imports(source) == ["NashRelation"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter, because pytest and hypothesis import both modules
+    probe = "import sys, nasharcs.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
