@@ -44,8 +44,7 @@ def test_unused_import_is_caught():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter, because pytest and hypothesis import both modules
     probe = "import sys, nasharcs.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
