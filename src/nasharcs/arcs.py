@@ -36,27 +36,13 @@ def defining_polynomial(n: int) -> Poly:
     return {(0, 0, n + 1): 1, (1, 1, 0): -1}
 
 
-# small rationals for generic coefficients; leading terms draw from the
-# nonzero subset so no leading-term cancellation can occur
-_NONZERO_POOL = (Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(1, 2), Q(-1, 2), Q(2, 3))
-_POOL = _NONZERO_POOL + (Q(0), Q(0), Q(0))
-
-
-# Every pool value times _SCALE is an integer, so arcs are drawn as
-# integer series over the common denominator _SCALE.  The scaled pools
-# keep the order and length of the originals, so the draws are the same.
+# Arcs are drawn as integer series over the common denominator _SCALE.
+# The draws are _SCALE times the small rationals 1, -1, 2, -2, 3, 1/2,
+# -1/2, 2/3 used as generic coefficients, plus three zeros; leading terms
+# draw from the nonzero ones so no leading-term cancellation can occur.
 _SCALE = 6
-
-
-def _scaled(pool: Sequence[Q]) -> tuple[int, ...]:
-    scaled = tuple(_SCALE * q for q in pool)
-    if any(v.denominator != 1 for v in scaled):
-        raise AssertionError(f"a pool value times {_SCALE} is not an integer")
-    return tuple(v.numerator for v in scaled)
-
-
-_NONZERO_DRAWS = _scaled(_NONZERO_POOL)
-_DRAWS = _scaled(_POOL)
+_NONZERO_DRAWS = (6, -6, 12, -12, 18, 3, -3, 4)
+_DRAWS = _NONZERO_DRAWS + (0, 0, 0)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:

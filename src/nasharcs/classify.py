@@ -18,7 +18,6 @@ from .graph import (
     cached_on_graph,
     dot_quote,
     graph_is_negative_definite,
-    rooted,
     serialize_graph,
 )
 from .order import an_relation, relation_matrix
@@ -114,12 +113,13 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
     """Attach weight-1 vertices for the starting leaf z1, once per leaf.
 
     Returns the part of a bamboo decomposition fixed by z1: the
-    supergraph, the count attached to each vertex, the pieces, the
-    member set of each piece, and the supergraph's contraction.  Counts
-    use weight and valence in g itself.  The k-th vertex attached
-    to v is named "{v}+{k}" unless that id is taken, in which case the
-    next free suffix is used.  More than `MAX_ATTACHED` in all is refused
-    before anything is built.
+    supergraph, the count attached to each vertex, the pieces and the
+    supergraph's contraction.  Counts use weight and valence in g
+    itself.  The k-th vertex attached to v is named "{v}+{k}" unless
+    that id is taken, in which case the next free suffix is used.  Each
+    attached vertex closes one piece, the path from z1 to it, in the
+    order the vertices are attached.  More than `MAX_ATTACHED` in all
+    is refused before anything is built.
     """
     surplus = sum(w - g.valence(v) for v, w in enumerate(g.weights))
     if surplus > MAX_ATTACHED:
@@ -129,11 +129,13 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
     edges = set(g.edges)
     taken = set(g.ids)
     attached: dict[str, int] = {}
-    aux_of: list[list[str]] = [[] for _ in range(g.n)]
+    pieces: list[tuple[str, ...]] = []
     for v, vid in enumerate(g.ids):
         w, val = g.weights[v], g.valence(v)
         count = max(w - val - 1, 0) if v == z1 else w - val
         attached[vid] = count
+        if count:
+            trunk = tuple(g.ids[u] for u in g.path(z1, v))
         suffix = 1
         for _ in range(count):
             while f"{vid}+{suffix}" in taken:
@@ -143,25 +145,14 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
             suffix += 1
             edges.add((v, len(ids)))
             ids.append(aux_id)
-            aux_of[v].append(aux_id)
+            pieces.append(trunk + (aux_id,))
     supergraph = WeightedDualGraph(
         ids=tuple(ids),
         weights=g.weights + (1,) * (len(ids) - g.n),
         edges=frozenset(edges),
         auxiliary=True,
     )
-
-    # one piece per weight-1 vertex: the path from z_1 to it, in the
-    # order the weight-1 vertices were attached
-    order, parent = rooted(g, z1)
-    trunk: list[tuple[str, ...]] = [()] * g.n
-    trunk[z1] = (g.ids[z1],)
-    for v in order[1:]:
-        trunk[v] = trunk[parent[v]] + (g.ids[v],)
-    pieces = tuple(trunk[v] + (aux_id,) for v in range(g.n) for aux_id in aux_of[v])
-
-    members = tuple(frozenset(p) for p in pieces)
-    return supergraph, attached, pieces, members, contracts_to_empty(supergraph)
+    return supergraph, attached, tuple(pieces), contracts_to_empty(supergraph)
 
 
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
@@ -186,10 +177,11 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
             prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
             walk.append(v)
     bamboo = head[::-1] + list(core) + tail
-    supergraph, attached, pieces, members, contraction = _leaf_embedding(g, bamboo[0])
-
-    designated = next((k for k, p in enumerate(members) if x in p and y in p), None)
-    assert designated is not None  # z_2 is a leaf of g, so it carries an aux vertex
+    supergraph, attached, pieces, contraction = _leaf_embedding(g, bamboo[0])
+    # a path from z_1 through y has y at y's bamboo index, and x before it;
+    # z_2 is a leaf of g, so it carries a weight-1 vertex and such a piece exists
+    py = len(head) + len(core)
+    designated = next(k for k, p in enumerate(pieces) if p[py - 1 : py] == (y,))
 
     return DecompositionCertificate(
         graph=g,
@@ -199,7 +191,7 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
         pieces=pieces,
         designated=designated,
         m=len(bamboo),
-        positions=(len(head) + 1, len(head) + len(core)),
+        positions=(len(head) + 1, py),
         contraction=contraction,
     )
 

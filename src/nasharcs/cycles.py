@@ -4,8 +4,8 @@ Cycles are integer coefficient vectors over the graph's vertices.  This
 module provides the anti-nef test, the fundamental cycle, the extreme
 rays of the anti-nef cone (as det(-M) and the integer columns of
 det(-M) (-M)^-1), integer witness cycles for order comparisons, and
-Artin's rationality criterion.  All of it is integer arithmetic; rays
-become rational only as the "p/q" strings of a report.
+rationality, read off the fundamental-cycle loop.  All of it is integer
+arithmetic; rays become rational only as the "p/q" strings of a report.
 """
 from __future__ import annotations
 
@@ -60,21 +60,36 @@ def _require_negative_definite(g: WeightedDualGraph) -> None:
 
 
 @cached_on_graph
-def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
-    """Minimal anti-nef cycle >= (1,...,1), by Laufer-style increments.
+def _laufer(g: WeightedDualGraph) -> tuple[Cycle, bool]:
+    """Fundamental cycle by Laufer's loop, and whether g is rational.
 
     Starts at the reduced cycle and repeatedly bumps the smallest
-    coordinate whose intersection number is still positive; terminates
-    because the matrix is negative definite.
+    coordinate k with Z.E_k > 0; terminates because the matrix is
+    negative definite.  The reduced cycle of a tree of rational curves
+    has arithmetic genus 0, and each bump adds Z.E_k - 1 to the genus,
+    so the fundamental cycle has genus 0 (Artin's criterion) exactly
+    when every bump had Z.E_k = 1 (Laufer 1972).
     """
     _require_negative_definite(g)
     z = [1] * g.n
+    rational = True
     while True:
         prod = intersection_products(g, z)
         k = next((i for i, p in enumerate(prod) if p > 0), None)
         if k is None:
-            return tuple(z)
+            return tuple(z), rational
+        rational = rational and prod[k] == 1
         z[k] += 1
+
+
+def fundamental_cycle(g: WeightedDualGraph) -> Cycle:
+    """Minimal anti-nef cycle >= (1,...,1)."""
+    return _laufer(g)[0]
+
+
+def is_rational(g: WeightedDualGraph) -> bool:
+    """The fundamental cycle has arithmetic genus zero (Artin's criterion)."""
+    return _laufer(g)[1]
 
 
 class RayBasis(NamedTuple):
@@ -150,29 +165,6 @@ def order_cycle_witness(g: WeightedDualGraph, i: int, j: int) -> Cycle | None:
     return None
 
 
-def intersection_number(g: WeightedDualGraph, a: Sequence[int], b: Sequence[int]) -> int:
-    """a . b in the intersection lattice."""
-    prod = intersection_products(g, b)
-    return sum(x * p for x, p in zip(a, prod))
-
-
-def canonical_degrees(g: WeightedDualGraph) -> Cycle:
-    """K . E_i = w(i) - 2 for rational exceptional curves (adjunction)."""
-    return tuple(w - 2 for w in g.weights)
-
-
-def arithmetic_genus(g: WeightedDualGraph, z: Sequence[int]) -> int:
-    """p_a(Z) = 1 + (Z.Z + Z.K) / 2.
-
-    The division is exact: Z.Z and Z.K are both congruent to
-    sum w(i) z_i mod 2, so their sum is even.
-    """
-    zc = _check_cycle(g, z)
-    zz = intersection_number(g, zc, zc)
-    zk = sum(c * d for c, d in zip(zc, canonical_degrees(g)))
-    return 1 + (zz + zk) // 2
-
-
 def serialize_ray_basis(rays: RayBasis) -> list[list[str]]:
     """Columns as arrays of reduced rational strings "p/q", entry over det."""
     out = []
@@ -183,10 +175,3 @@ def serialize_ray_basis(rays: RayBasis) -> list[list[str]]:
             cells.append(f"{e // common}/{rays.det // common}")
         out.append(cells)
     return out
-
-
-@cached_on_graph
-def is_rational(g: WeightedDualGraph) -> bool:
-    """Artin's criterion: the fundamental cycle has arithmetic genus zero."""
-    _require_negative_definite(g)
-    return arithmetic_genus(g, fundamental_cycle(g)) == 0

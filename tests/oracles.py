@@ -158,6 +158,20 @@ def anti_nef_naive(g: WeightedDualGraph, z: tuple[int, ...]) -> bool:
     )
 
 
+def artin_genus(g: WeightedDualGraph, z: Sequence[int]) -> int:
+    """Arithmetic genus p_a(Z) = 1 + (Z.Z + K.Z) / 2 over the dense matrix.
+
+    K.E_i = w(i) - 2 by adjunction on a rational curve.  A rational
+    singularity is one whose fundamental cycle has genus 0 (Artin 1966).
+    """
+    rows = intersection_rows(g)
+    zz = sum(z[i] * a * z[j] for i, row in enumerate(rows) for j, a in enumerate(row))
+    zk = sum(c * (w - 2) for c, w in zip(z, g.weights))
+    genus = 1 + Q(zz + zk, 2)
+    assert genus.denominator == 1, "Z.Z + K.Z must be even"
+    return int(genus)
+
+
 def exhaustive_contraction_orders(weight: dict[str, int], adj: dict[str, set[str]]) -> bool:
     """True iff some blow-down order empties the graph (full backtracking)."""
     if not weight:

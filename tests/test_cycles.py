@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nasharcs.cycles import (
-    arithmetic_genus,
-    canonical_degrees,
     fundamental_cycle,
     integer_rays,
-    intersection_number,
     is_anti_nef,
     is_rational,
     order_cycle_witness,
@@ -27,9 +24,10 @@ from nasharcs.errors import (
 from nasharcs.generators import an_graph
 from nasharcs.graph import make_graph
 
-from builders import e6_graph
+from builders import e6_graph, random_negative_definite_graph
 from oracles import (
     anti_nef_naive,
+    artin_genus,
     gaussian_determinant,
     intersection_rows,
     minimal_anti_nef_by_enumeration,
@@ -199,32 +197,10 @@ def test_integer_rays_divide_out_gcd():
     assert integer_rays(an_graph(3)) == ((3, 2, 1), (1, 2, 1), (1, 2, 3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.lists(
-    st.integers(min_value=0, max_value=5), min_size=6, max_size=6))
-def test_arithmetic_genus_is_exact_integer(seed, z):
-    # against the Fraction formula over the dense matrix, on any weights
-    rng = random.Random(seed)
-    weights = [rng.randint(2, 5) for _ in range(6)]
-    ids = [f"v{k}" for k in range(6)]
-    g = make_graph(
-        list(zip(ids, weights)), [(ids[k], ids[rng.randrange(k)]) for k in range(1, 6)]
-    )
-    if not any(z):
-        z[0] = 1
-    rows = intersection_rows(g)
-    zz = sum(z[i] * a * z[j] for i, row in enumerate(rows) for j, a in enumerate(row))
-    zk = sum(c * (w - 2) for c, w in zip(z, weights))
-    genus = arithmetic_genus(g, z)
-    assert type(genus) is int and genus == 1 + Q(zz + zk, 2)
-    assert intersection_number(g, z, z) == zz
-    assert canonical_degrees(g) == tuple(w - 2 for w in weights)
-
-
 def test_rationality_bamboo_and_e6():
     assert is_rational(an_graph(4))
     assert is_rational(e6_graph())
-    assert arithmetic_genus(e6_graph(), fundamental_cycle(e6_graph())) == 0
+    assert artin_genus(e6_graph(), fundamental_cycle(e6_graph())) == 0
 
 
 def test_non_rational_graph():
@@ -240,7 +216,17 @@ def test_non_rational_graph():
 
     assert graph_is_negative_definite(g)
     assert not is_rational(g)
-    assert arithmetic_genus(g, fundamental_cycle(g)) > 0
+    assert artin_genus(g, fundamental_cycle(g)) > 0
+
+
+def test_laufer_rationality_matches_artin_genus(negdef_corpus):
+    # the flag from the fundamental-cycle loop against Artin's genus test
+    rng = random.Random(1972)
+    graphs = negdef_corpus + [random_negative_definite_graph(rng) for _ in range(400)]
+    verdicts = [is_rational(g) for g in graphs]
+    for g, rational in zip(graphs, verdicts):
+        assert rational == (artin_genus(g, fundamental_cycle(g)) == 0), g
+    assert set(verdicts) == {True, False}
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction as Q
 from math import lcm
 
@@ -252,6 +253,20 @@ def test_one_contraction_per_starting_leaf(minimal_corpus, monkeypatch):
         calls.clear()
         certify_minimal(fresh)
         assert 0 < len(calls) <= sum(len(a) <= 1 for a in fresh.adj)
+
+
+def test_decompose_long_bamboo_stays_small():
+    # pieces are built only for vertices that carry a weight-1 vertex: on
+    # A_3000 that is one piece, so no table of z_1-paths to every vertex
+    g = an_graph(3000)
+    tracemalloc.start()
+    try:
+        cert = decompose_minimal(g, "E1", "E2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.pieces == (g.ids + ("E3000+1",),)
+    assert peak < 8 * 2**20
 
 
 def test_memo_is_per_instance_and_outside_equality():
