@@ -71,8 +71,10 @@ def _load_capped_graph(path: str) -> WeightedDualGraph:
     return g
 
 
-# characters gathered before one write; a write can exceed it by one piece
-CHUNK = 1 << 20
+# characters gathered before one write; a write can exceed it by one piece.
+# 64 KiB keeps the pieces, their join and the encoded copy of one write small
+# next to a graph job's working set, and still few writes per report
+CHUNK = 1 << 16
 
 
 def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
@@ -82,6 +84,10 @@ def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
     `nl` is a newline plus the indent of the line `value` starts on.  An
     array is made by one `str.join`; the text of an int array is kept in
     `memo`, because a report repeats the same few ray columns in every pair.
+    The memo is looked up by `(id(value), nl)` before the array is scanned,
+    since those pairs cite the very same tuples; the document keeps each
+    array alive while it is written, so an id names one array throughout.
+    Equal arrays that are distinct objects meet under `(inner, tuple(value))`.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -96,14 +102,19 @@ def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        same = (id(value), nl)
+        text = memo.get(same)
+        if text is not None:
+            return text
         kinds = set(map(type, value))
         inner = nl + "  "
         if kinds == {int}:
-            key = (inner, tuple(value))
-            text = memo.get(key)
+            equal = (inner, tuple(value))
+            text = memo.get(equal)
             if text is None:
-                text = memo[key] = (
+                text = memo[equal] = (
                     "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            memo[same] = text
             return text
         if kinds == {str}:
             return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + nl + "]"
@@ -159,13 +170,24 @@ def _emit(document: dict[str, Any], out: str | None) -> None:
     """Write `json.dumps(document, indent=2, sort_keys=True)` and a newline.
 
     The text goes to the file `out`, or to stdout, in writes of about
-    `CHUNK` characters, so the whole report is never one string.
+    `CHUNK` (64 Ki) characters, so the whole report is never one string and
+    a write holds little beside it.  Each int array is rendered once per
+    indent, and found again by identity when a later pair cites it.
     """
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             _write_json(document, fh.write)
+    elif sys.stdout is None:  # started with file descriptor 1 closed
+        raise OSError("standard output is closed")
     else:
-        _write_json(document, sys.stdout.write)
+        try:
+            _write_json(document, sys.stdout.write)
+            sys.stdout.flush()
+        except OSError:
+            # a full disk or a closed pipe: drop the stream, or the interpreter
+            # flushes it again at exit, prints a second error and exits 120
+            sys.stdout = None
+            raise
 
 
 def _write_dot(text: str, path: str | None) -> None:

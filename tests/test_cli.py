@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -441,3 +444,32 @@ def test_weight_1_leaf_is_not_minimal(name, tmp_path, capsys):
         assert run_json([argv[0], str(g), *argv[1:]], tmp_path) == (2, None)
         err = capsys.readouterr().err
         assert "NotMinimal" in err and "Traceback" not in err
+
+
+def _cli_with_stdout(redirect: str, unbuffered: bool) -> subprocess.CompletedProcess:
+    """`nasharcs an-order --n 3` in a fresh interpreter, stdout redirected by `sh`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "nasharcs.cli",
+         "an-order", "--n", "3"],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+def test_closed_stdout_exits_2():
+    # with file descriptor 1 closed the interpreter starts with sys.stdout None
+    proc = _cli_with_stdout(">&-", unbuffered=True)
+    assert (proc.returncode, proc.stderr) == (2, "error: standard output is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_full_stdout_exits_2(unbuffered):
+    # buffered, the whole report fits in stdout's buffer: the error comes at
+    # the flush, and must not come again when the interpreter exits
+    proc = _cli_with_stdout("> /dev/full", unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"

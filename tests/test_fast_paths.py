@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as Q
 from math import lcm
@@ -484,6 +485,10 @@ def test_emit_rejects_float_and_non_str_key(doc, tmp_path):
         cli._emit(doc, str(tmp_path / "out.json"))
 
 
+# the emitter's write window, in characters
+WINDOW = 1 << 16
+
+
 def test_emit_writes_in_bounded_chunks(monkeypatch):
     class Recorder:
         def __init__(self):
@@ -493,6 +498,9 @@ def test_emit_writes_in_bounded_chunks(monkeypatch):
             self.writes.append(text)
             return len(text)
 
+        def flush(self) -> None:
+            pass
+
     rng = random.Random(77)
     doc = {"pairs": [{"i": str(k), "w": [rng.randrange(10**6) for _ in range(40)]}
                      for k in range(8000)]}
@@ -501,5 +509,48 @@ def test_emit_writes_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr("sys.stdout", stream)
     cli._emit(doc, None)
     assert "".join(stream.writes) == _dumps(doc)
+    # pieces are batched: every write but the last fills the window
     assert len(stream.writes) >= 3
-    assert max(map(len, stream.writes)) < cli.CHUNK + largest
+    assert min(map(len, stream.writes[:-1])) >= cli.CHUNK
+    assert max(map(len, stream.writes)) < WINDOW + largest
+
+
+def test_emit_peak_memory_is_window_plus_memo(monkeypatch, tmp_path):
+    docs: list = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+    assert cli.main(["an-order", "--n", "100"]) == 0
+    monkeypatch.undo()
+    (doc,) = docs
+    # the memo holds the text and a tuple copy of each distinct ray column
+    rays = {tuple(p[k]) for p in doc["pairs"] for k in ("witness_ij", "witness_ji")}
+    memo = sum(sys.getsizeof(json.dumps(list(r), indent=8)) + sys.getsizeof(r) for r in rays)
+    out = tmp_path / "an100.json"
+    tracemalloc.start()
+    try:
+        cli._emit(doc, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 4_000_000
+    assert len(rays) == 100
+    # pieces, their join and the encoded copy of one write, each under a window
+    assert peak < 4 * WINDOW + memo
+
+
+_SHARED = (3, -1, 2**70)
+_TWIN = [5, 6]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": _SHARED, "b": {"c": _SHARED, "d": [_SHARED, {"e": _SHARED}]}, "f": [_SHARED]},
+        {"list": _TWIN, "tuple": tuple(_TWIN), "both": [_TWIN, tuple(_TWIN), [5, 6], _TWIN]},
+        {"a": (), "b": [(), {"c": ()}, ()], "d": ((), [()]), "e": [(), 1]},
+    ],
+    ids=["one_tuple_two_indents", "equal_list_and_tuple", "shared_empty_tuple"],
+)
+def test_emit_memo_keys_on_identity_and_indent(doc, tmp_path):
+    out = tmp_path / "out.json"
+    cli._emit(doc, str(out))
+    assert out.read_bytes() == _dumps(doc).encode("utf-8")
