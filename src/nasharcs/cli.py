@@ -42,7 +42,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .order import hasse_export, relation_matrix, serialize_relation_matrix
+from .order import LazyArray, hasse_export, relation_matrix, serialize_relation_matrix
 
 
 # longest arc series `an-arcs` will build; the cost grows much faster than
@@ -50,8 +50,9 @@ from .order import hasse_export, relation_matrix, serialize_relation_matrix
 MAX_TRUNC = 1024
 
 # most vertices `analyze`, `order`, `certify-minimal` and `an-order` take:
-# their reports hold n (n - 1) pairs of n-entry witnesses, so output and
-# time grow as n^3 (56 MB for `order` at n = 128)
+# deciding the pairs takes n^2 steps, but the reports hold n (n - 1) pairs
+# of n-entry witnesses, so output and the time to write it grow as n^3
+# (58 MB for `an-order` at n = 128)
 MAX_VERTICES = 128
 
 
@@ -77,17 +78,18 @@ def _load_capped_graph(path: str) -> WeightedDualGraph:
 CHUNK = 1 << 16
 
 
-def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
+def _leaf(value: Any, nl: str, memo: dict[tuple, Any]) -> str | None:
     """JSON text of a scalar, an empty container or an array of only ints
-    or only strs; None for any other array or object.
+    or only strs; None for a lazy array and any other array or object.
 
     `nl` is a newline plus the indent of the line `value` starts on.  An
     array is made by one `str.join`; the text of an int array is kept in
     `memo`, because a report repeats the same few ray columns in every pair.
     The memo is looked up by `(id(value), nl)` before the array is scanned,
-    since those pairs cite the very same tuples; the document keeps each
-    array alive while it is written, so an id names one array throughout.
-    Equal arrays that are distinct objects meet under `(inner, tuple(value))`.
+    since those pairs cite the very same tuples.  That entry holds the
+    array with its text, so a lazy array's transient item cannot be freed
+    and its id reused by a later array while the memo lives.  Equal arrays
+    that are distinct objects meet under `(inner, tuple(value))`.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -103,9 +105,9 @@ def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
         if not value:
             return "[]"
         same = (id(value), nl)
-        text = memo.get(same)
-        if text is not None:
-            return text
+        pinned = memo.get(same)
+        if pinned is not None:
+            return pinned[1]
         kinds = set(map(type, value))
         inner = nl + "  "
         if kinds == {int}:
@@ -114,20 +116,23 @@ def _leaf(value: Any, nl: str, memo: dict[tuple, str]) -> str | None:
             if text is None:
                 text = memo[equal] = (
                     "[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
-            memo[same] = text
+            memo[same] = (value, text)
             return text
         if kinds == {str}:
             return "[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + nl + "]"
         return None
     if isinstance(value, dict):
         return None if value else "{}"
+    if isinstance(value, LazyArray):
+        return None
     # a float lands here too: no report holds one
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _pieces(value: Any, nl: str, memo: dict[tuple, str]) -> Iterator[str]:
+def _pieces(value: Any, nl: str, memo: dict[tuple, Any]) -> Iterator[str]:
     """Yield json.dumps(value, indent=2, sort_keys=True) in pieces, for
-    a `value` that `_leaf` does not write in one."""
+    a `value` that `_leaf` does not write in one; only a lazy array can
+    turn out empty here."""
     inner = nl + "  "
     sep = "," + inner
     if isinstance(value, dict):
@@ -147,13 +152,13 @@ def _pieces(value: Any, nl: str, memo: dict[tuple, str]) -> Iterator[str]:
         else:
             yield head + label + text
         head = sep
-    yield close
+    yield close if head is sep else "[]"
 
 
 def _write_json(document: Any, write: Callable[[str], Any]) -> None:
     buf: list[str] = []
     size = 0
-    memo: dict[tuple, str] = {}
+    memo: dict[tuple, Any] = {}
     text = _leaf(document, "\n", memo)
     for piece in [text] if text is not None else _pieces(document, "\n", memo):
         buf.append(piece)
@@ -167,12 +172,15 @@ def _write_json(document: Any, write: Callable[[str], Any]) -> None:
 
 
 def _emit(document: dict[str, Any], out: str | None) -> None:
-    """Write `json.dumps(document, indent=2, sort_keys=True)` and a newline.
+    """Write `json.dumps(document, indent=2, sort_keys=True, default=list)`
+    and a newline.
 
     The text goes to the file `out`, or to stdout, in writes of about
     `CHUNK` (64 Ki) characters, so the whole report is never one string and
-    a write holds little beside it.  Each int array is rendered once per
-    indent, and found again by identity when a later pair cites it.
+    a write holds little beside it.  A `LazyArray` is written item by item
+    as it makes them, so its items are never all held at once.  Each int
+    array is rendered once per indent, and found again by identity when a
+    later pair cites it.
     """
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -356,6 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> None:
+    """Print one `error:` line to stderr, if it can be written at all; the
+    exit code must not depend on it."""
+    if sys.stderr is None:  # started with file descriptor 2 closed
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        # drop the stream, or the interpreter flushes it again at exit and exits 120
+        sys.stderr = None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -365,10 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except NashArcsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error(f"{type(exc).__name__}: {exc}")
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return 2
 
 

@@ -3,9 +3,10 @@
 Cycles are integer coefficient vectors over the graph's vertices.  This
 module provides the anti-nef test, the fundamental cycle, the extreme
 rays of the anti-nef cone (as det(-M) and the integer columns of
-det(-M) (-M)^-1), integer witness cycles for order comparisons, and
-rationality, read off the fundamental-cycle loop.  All of it is integer
-arithmetic; rays become rational only as the "p/q" strings of a report.
+det(-M) (-M)^-1, which, divided by their gcds, witness the order
+comparisons), and rationality, read off the fundamental-cycle loop.
+All of it is integer arithmetic; rays become rational only as the "p/q"
+strings of a report.
 """
 from __future__ import annotations
 
@@ -13,12 +14,7 @@ from fractions import Fraction as Q
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    NotNegativeDefinite,
-    SameVertex,
-    ZeroCycle,
-)
+from .errors import DimensionMismatch, NotNegativeDefinite, ZeroCycle
 from .graph import (
     WeightedDualGraph,
     cached_on_graph,
@@ -146,23 +142,6 @@ def integer_rays(g: WeightedDualGraph) -> tuple[Cycle, ...]:
         common = gcd(*column)
         out.append(tuple(e // common for e in column))
     return tuple(out)
-
-
-def order_cycle_witness(g: WeightedDualGraph, i: int, j: int) -> Cycle | None:
-    """Integer anti-nef cycle with coefficient at i strictly below j, if any.
-
-    The anti-nef cone is generated by the ray columns, so such a cycle
-    exists iff some single column already separates i and j; the first
-    such column (cleared of denominators) is returned.  Scaling by a
-    positive integer keeps the comparison, so the integer columns are
-    scanned directly.
-    """
-    if i == j:
-        raise SameVertex("order comparison needs two distinct vertices")
-    for column in integer_rays(g):
-        if column[i] < column[j]:
-            return column
-    return None
 
 
 def serialize_ray_basis(rays: RayBasis) -> list[list[str]]:

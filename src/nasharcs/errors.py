@@ -34,14 +34,6 @@ class SameVertex(NashArcsError):
     """Operation requires two distinct vertices."""
 
 
-class EqualityDetected(NashArcsError):
-    """Two divisors compared equal on every generator.
-
-    Impossible over an invertible intersection matrix; raised as an
-    internal-consistency failure rather than returned as a verdict.
-    """
-
-
 class InconsistentRelation(NashArcsError):
     """Internal check failed: a relation disagrees with its witnesses, or
     a certificate's supergraph does not blow down to empty."""

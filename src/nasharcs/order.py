@@ -2,17 +2,18 @@
 
 Two exceptional divisors are compared through the orders that functions
 on the singularity can take along them; computationally that reduces to
-comparing rows of the inverted intersection matrix.  Each strict
-comparison yields a proof that one Nash family closure is not contained
-in the other.
+comparing entries of the ray columns of (-M)^-1.  Each strict comparison
+yields a proof that one Nash family closure is not contained in the
+other.  A relation is read off two columns when it is asked for, so the
+table holds the graph and its n rays, not its n (n - 1) pairs.
 """
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .cycles import Cycle, is_anti_nef, order_cycle_witness
-from .errors import EqualityDetected, InconsistentRelation, SameVertex
+from .cycles import Cycle, integer_rays, is_anti_nef
+from .errors import InconsistentRelation, SameVertex
 from .graph import WeightedDualGraph, cached_on_graph, dot_quote
 
 
@@ -29,7 +30,7 @@ class NashRelation(NamedTuple):
     is strictly below the one at j (and symmetrically for witness_ji).
     The verdict is read off them: both present means incomparable,
     exactly one means a strict order.  Both absent cannot happen over an
-    invertible intersection matrix and raises instead of being represented.
+    invertible intersection matrix; `relation_matrix` raises on it.
     """
 
     witness_ij: Cycle | None
@@ -45,61 +46,73 @@ class NashRelation(NamedTuple):
         return NashRelation(self.witness_ji, self.witness_ij)
 
 
-def relate(g: WeightedDualGraph, i: int, j: int) -> NashRelation:
-    """Decide the relation between divisors i and j."""
-    if i == j:
-        raise SameVertex("cannot relate a divisor to itself")
-    rel = NashRelation(order_cycle_witness(g, i, j), order_cycle_witness(g, j, i))
-    if rel.witness_ij is None and rel.witness_ji is None:
-        raise EqualityDetected(
-            f"divisors {i} and {j} compare equal on every ray; "
-            "the intersection matrix cannot be invertible"
-        )
-    return rel
-
-
 class RelationMatrix(NamedTuple):
-    """Complete relation table for a graph, plus the proven non-inclusions."""
+    """Relation table of a graph, read on demand off its integer rays.
+
+    An anti-nef cycle with z[i] < z[j] exists iff ray column j has that
+    property.  The columns generate the anti-nef cone, so if any cycle
+    has it, some column does.  Along the tree path from i to j the ratio
+    col_k[j] / col_k[i] depends only on where the path from k meets it,
+    and grows strictly toward j: each step multiplies it by
+    1 / (r(u->v) r(v->u)) > 1, for the subtree-determinant ratios r of
+    `cycles.ray_basis` (Eisenbud-Neumann 1985).  So column j is the best
+    witness, and on a minimal graph it always is one (Lipman's peak on
+    the diagonal).
+    """
 
     graph: WeightedDualGraph
-    relations: dict[tuple[int, int], NashRelation]  # every ordered pair (i, j), i != j
+    rays: tuple[Cycle, ...]  # `integer_rays(graph)`
 
     def get(self, i: int, j: int) -> NashRelation:
-        try:
-            return self.relations[i, j]
-        except KeyError:
-            raise SameVertex(f"no relation stored for pair ({i}, {j})") from None
+        if i == j:
+            raise SameVertex("cannot relate a divisor to itself")
+        col_i, col_j = self.rays[i], self.rays[j]
+        return NashRelation(
+            col_j if col_j[i] < col_j[j] else None,
+            col_i if col_i[j] < col_i[i] else None,
+        )
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], NashRelation]]:
-        return iter(self.relations.items())
+        """Every ordered pair with its relation: (i, j), then (j, i), for i < j."""
+        n = self.graph.n
+        for i in range(n):
+            for j in range(i + 1, n):
+                rel = self.get(i, j)
+                yield (i, j), rel
+                yield (j, i), rel.reversed()
 
     def non_inclusions(self) -> frozenset[tuple[int, int]]:
         """Ordered pairs (a, b) with a proof that closure(N_a) is not in closure(N_b)."""
-        return frozenset(p for p, rel in self.relations.items() if rel.witness_ij is not None)
+        return frozenset(p for p, rel in self.pairs() if rel.witness_ij is not None)
 
     def open_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(p for p, rel in self.relations.items() if rel.witness_ij is None)
+        return frozenset(p for p, rel in self.pairs() if rel.witness_ij is None)
 
 
 def _verify_table(rm: RelationMatrix) -> None:
-    """Post-hoc sanity: witness validity, antisymmetry, transitivity of Less.
+    """Post-hoc sanity: witness validity, a witness for every pair,
+    antisymmetry and transitivity of Less.
 
-    Witnesses are ray columns, so only about n distinct cycles occur; each
-    distinct cycle is tested for anti-nefness once.
+    Witnesses are ray columns, so each column is tested for anti-nefness
+    once, and each witness is looked up among them by identity.
     """
     g = rm.graph
-    anti_nef: dict[Cycle, bool] = {}
+    anti_nef = {id(column): is_anti_nef(g, column) for column in rm.rays}
     less = set()
     for (i, j), rel in rm.pairs():
+        if rel.witness_ij is None and rel.witness_ji is None:
+            raise InconsistentRelation(
+                f"divisors {i} and {j} compare equal on every ray; "
+                "the intersection matrix cannot be invertible"
+            )
         for vertex_lo, vertex_hi, w in (
             (i, j, rel.witness_ij),
             (j, i, rel.witness_ji),
         ):
             if w is None:
                 continue
-            if w not in anti_nef:
-                anti_nef[w] = is_anti_nef(g, w)
-            if not (anti_nef[w] and w[vertex_lo] < w[vertex_hi]):
+            # a witness must be one of the table's own anti-nef columns
+            if not (anti_nef.get(id(w), False) and w[vertex_lo] < w[vertex_hi]):
                 raise InconsistentRelation(f"bad witness for pair ({i}, {j})")
         if rel.verdict is Verdict.LESS:  # the reversed pair reads GREATER
             less.add((i, j))
@@ -115,14 +128,8 @@ def _verify_table(rm: RelationMatrix) -> None:
 
 @cached_on_graph
 def relation_matrix(g: WeightedDualGraph) -> RelationMatrix:
-    """Relate every ordered pair and verify the table's coherence."""
-    relations = {}
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            rel = relate(g, i, j)
-            relations[i, j] = rel
-            relations[j, i] = rel.reversed()
-    rm = RelationMatrix(graph=g, relations=relations)
+    """The relation table of g, after checking its coherence."""
+    rm = RelationMatrix(graph=g, rays=integer_rays(g))
     _verify_table(rm)
     return rm
 
@@ -163,23 +170,50 @@ def an_relation(m: int, i: int, j: int) -> NashRelation:
     return NashRelation(up, down) if i < j else NashRelation(down, up)
 
 
+class LazyArray:
+    """A JSON array whose items `make()` builds afresh on every iteration.
+
+    `cli._emit` writes the items as they are made, so a report never
+    holds them all; `json.dumps(..., default=list)` reads it as a list.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[], Iterable[Any]]) -> None:
+        self._make = make
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._make())
+
+
 def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:
+    """The table's report: "pairs" by vertex index, "non_inclusions" by id,
+    both as lazy arrays made from the table while they are written."""
     g = rm.graph
-    pairs = []
-    for (i, j), rel in sorted(rm.pairs()):
-        pairs.append(
-            {
-                "i": g.ids[i],
-                "j": g.ids[j],
-                "verdict": rel.verdict.value,
-                "witness_ij": rel.witness_ij,
-                "witness_ji": rel.witness_ji,
-            }
-        )
+    ids = g.ids
+
+    def pairs() -> Iterator[dict[str, Any]]:
+        for i in range(g.n):
+            for j in range(g.n):
+                if i != j:
+                    rel = rm.get(i, j)
+                    yield {
+                        "i": ids[i],
+                        "j": ids[j],
+                        "verdict": rel.verdict.value,
+                        "witness_ij": rel.witness_ij,
+                        "witness_ji": rel.witness_ji,
+                    }
+
+    def non_inclusions() -> Iterator[list[str]]:
+        by_id = sorted(range(g.n), key=ids.__getitem__)
+        for a in by_id:
+            for b in by_id:
+                if a != b and rm.get(a, b).witness_ij is not None:
+                    yield [ids[a], ids[b]]
+
     return {
-        "vertices": list(g.ids),
-        "pairs": pairs,
-        "non_inclusions": sorted(
-            [g.ids[a], g.ids[b]] for a, b in rm.non_inclusions()
-        ),
+        "vertices": list(ids),
+        "pairs": LazyArray(pairs),
+        "non_inclusions": LazyArray(non_inclusions),
     }

@@ -2,7 +2,8 @@
 
 Deliberately naive implementations (dense intersection matrices,
 cofactor and `Fraction` Gaussian determinants, the Sylvester check,
-exhaustive anti-nef enumeration, `Fraction` power series) that share no
+exhaustive anti-nef enumeration, a scan of every ray column for an order
+witness, `Fraction` power series) that share no
 code path with the package's own algorithms.  Nothing here imports package code at
 run time; graphs are only read through their public fields.
 """
@@ -170,6 +171,21 @@ def artin_genus(g: WeightedDualGraph, z: Sequence[int]) -> int:
     genus = 1 + Q(zz + zk, 2)
     assert genus.denominator == 1, "Z.Z + K.Z must be even"
     return int(genus)
+
+
+def order_cycle_witness(
+    columns: Sequence[Sequence[int]], i: int, j: int
+) -> tuple[int, ...] | None:
+    """The first column with coefficient at i strictly below j, if any.
+
+    The ray columns generate the anti-nef cone, so an anti-nef cycle with
+    z[i] < z[j] exists iff one of them separates i and j; this scans them
+    all, where the package reads column j alone.
+    """
+    for column in columns:
+        if column[i] < column[j]:
+            return tuple(column)
+    return None
 
 
 def exhaustive_contraction_orders(weight: dict[str, int], adj: dict[str, set[str]]) -> bool:

@@ -446,22 +446,24 @@ def test_weight_1_leaf_is_not_minimal(name, tmp_path, capsys):
         assert "NotMinimal" in err and "Traceback" not in err
 
 
-def _cli_with_stdout(redirect: str, unbuffered: bool) -> subprocess.CompletedProcess:
-    """`nasharcs an-order --n 3` in a fresh interpreter, stdout redirected by `sh`."""
+def _cli_in_sh(redirect: str, n: int, unbuffered: bool) -> subprocess.CompletedProcess:
+    """`nasharcs an-order --n <n>` in a fresh interpreter, redirected by `sh`;
+    whichever of stdout and stderr is not redirected is captured."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "nasharcs.cli",
-         "an-order", "--n", "3"],
-        env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+         "an-order", "--n", str(n)],
+        env=env, text=True, timeout=60,
+        **{"stdout" if redirect.startswith("2") else "stderr": subprocess.PIPE},
     )
 
 
 def test_closed_stdout_exits_2():
     # with file descriptor 1 closed the interpreter starts with sys.stdout None
-    proc = _cli_with_stdout(">&-", unbuffered=True)
+    proc = _cli_in_sh(">&-", 3, unbuffered=True)
     assert (proc.returncode, proc.stderr) == (2, "error: standard output is closed\n")
 
 
@@ -470,6 +472,18 @@ def test_closed_stdout_exits_2():
 def test_full_stdout_exits_2(unbuffered):
     # buffered, the whole report fits in stdout's buffer: the error comes at
     # the flush, and must not come again when the interpreter exits
-    proc = _cli_with_stdout("> /dev/full", unbuffered)
+    proc = _cli_in_sh("> /dev/full", 3, unbuffered)
     assert proc.returncode == 2
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null", "2>/dev/full"],
+                         ids=["closed", "read_only", "full"])
+def test_unwritable_stderr_still_exits_2(redirect):
+    # with descriptor 2 closed the interpreter starts with sys.stderr None, and
+    # print(file=None) would write the error line to stdout; on a read-only or
+    # full descriptor the write raises inside the handler
+    if redirect.endswith("/dev/full") and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    proc = _cli_in_sh(redirect, 0, unbuffered=False)
+    assert (proc.returncode, proc.stdout) == (2, "")

@@ -24,7 +24,7 @@ from nasharcs.arcs import (
     separation_check,
 )
 from nasharcs.classify import certify_minimal, decompose_minimal
-from nasharcs.cycles import integer_rays, order_cycle_witness, ray_basis
+from nasharcs.cycles import integer_rays, ray_basis
 from nasharcs.errors import BadParameter, TruncationTooSmall
 from nasharcs.generators import an_graph
 from nasharcs.graph import (
@@ -35,7 +35,7 @@ from nasharcs.graph import (
     serialize_graph,
     tree_determinants,
 )
-from nasharcs.order import relation_matrix
+from nasharcs.order import LazyArray, relation_matrix
 from builders import _tree_from_edges, random_tree_edges
 from oracles import (
     gaussian_determinant,
@@ -155,27 +155,27 @@ def test_integer_rays_match_fraction_scaling(negdef_corpus, indefinite_corpus):
         assert list(integer_rays(g)) == _fraction_scaled_columns(g), g
 
 
-def _first_separating_column(g, i, j):
-    for column in _fraction_scaled_columns(g):
-        if column[i] < column[j]:
-            return column
-    return None
-
-
-def test_witness_is_first_separating_integer_column(negdef_corpus):
+def test_witness_is_own_integer_column(negdef_corpus):
+    # the witness for i below j is column j, when column j has i below j
     for g in negdef_corpus:
+        columns = _fraction_scaled_columns(g)
+        rm = relation_matrix(g)
         for i in range(g.n):
             for j in range(g.n):
                 if i != j:
-                    expected = _first_separating_column(g, i, j)
-                    assert order_cycle_witness(g, i, j) == expected
+                    expected = columns[j] if columns[j][i] < columns[j][j] else None
+                    assert rm.get(i, j).witness_ij == expected
 
 
-def test_relation_lookup_matches_stored_pairs(negdef_corpus):
+def test_relation_lookup_matches_pairs(negdef_corpus):
+    # both read the same cached columns, so the emitter finds a witness by identity
     for g in negdef_corpus[:40]:
         rm = relation_matrix(g)
-        for pair, rel in rm.pairs():
-            assert rm.get(*pair) is rel
+        rays = integer_rays(g)
+        for (i, j), rel in rm.pairs():
+            assert rm.get(i, j) == rel
+            assert rel.witness_ij is None or rel.witness_ij is rays[j]
+            assert rel.witness_ji is None or rel.witness_ji is rays[i]
 
 
 def _reference_extend_to_leaf(g, path, end):
@@ -403,7 +403,7 @@ def test_unit_power_recurrence_matches_repeated_products():
 # --- report emitter: chunked writer against json.dumps(indent=2) -----------
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
 
 
 def _reports(monkeypatch, tmp_path, negdef_corpus) -> list:
@@ -554,3 +554,79 @@ def test_emit_memo_keys_on_identity_and_indent(doc, tmp_path):
     out = tmp_path / "out.json"
     cli._emit(doc, str(out))
     assert out.read_bytes() == _dumps(doc).encode("utf-8")
+
+
+# the `order` report of a one-vertex graph, as written when its pair lists were lists
+ONE_VERTEX_ORDER = """{
+  "graph": {
+    "edges": [],
+    "vertices": [
+      {
+        "id": "E1",
+        "w": 2
+      }
+    ]
+  },
+  "header": {
+    "tool": "nasharcs",
+    "version": "VERSION"
+  },
+  "non_inclusions": [],
+  "pairs": [],
+  "vertices": [
+    "E1"
+  ]
+}
+"""
+
+
+def test_emit_writes_empty_lazy_arrays_as_empty_lists(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [{"id": "E1", "w": 2}], "edges": []}))
+    out = tmp_path / "order.json"
+    assert cli.main(["order", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == ONE_VERTEX_ORDER.replace("VERSION", cli.__version__)
+    for doc in ({"a": LazyArray(lambda: iter(()))}, {"a": [LazyArray(list), {"b": LazyArray(list)}]}):
+        cli._emit(doc, str(out))
+        assert out.read_text() == _dumps(doc)
+
+
+def test_emit_pins_transient_int_arrays(tmp_path):
+    # each list is freed once written, so without a reference kept in the memo
+    # the next list may get its id, and with it the text of the freed one
+    doc = {
+        "flat": LazyArray(lambda: ([k, k + 1] for k in range(200))),
+        "nested": LazyArray(lambda: ({"w": [k] * 3, "v": [[k], [-k]]} for k in range(200))),
+    }
+    out = tmp_path / "out.json"
+    cli._emit(doc, str(out))
+    # a bool, so a failure is reported without diffing two long texts
+    same = out.read_text() == _dumps(doc)
+    assert same, "a transient array was written with the text of an earlier one"
+
+
+def _dominant_tree(n: int, seed: int) -> WeightedDualGraph:
+    """A random tree with w = max(valence, 2) + 1, negative definite by diagonal dominance."""
+    edges = random_tree_edges(n, random.Random(seed))
+    valence = [0] * n
+    for a, b in edges:
+        valence[a] += 1
+        valence[b] += 1
+    return _tree_from_edges(n, edges, [max(v, 2) + 1 for v in valence])
+
+
+def test_order_report_peak_memory_is_rays_not_pairs(tmp_path):
+    # with the 9900 pairs held as a relation dict and then as a list of
+    # report dicts, this run peaked at 6.3 MB; read off the 100 ray columns
+    # while they are written, it needs the columns, their text and the window
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(serialize_graph(_dominant_tree(100, 100))))
+    out = tmp_path / "order.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["order", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 80_000_000
+    assert peak < 3_100_000

@@ -8,6 +8,9 @@ and `decompose` reports, with the DOT file each writes to `--dot` as
 `<name>.<command>.dot`, were written before `contracts_to_empty` lost
 its pluggable pick order and the certificate lost its `Open` status;
 `decompose` runs through the first and the last vertex of the file.
+The order witnesses in the `analyze`, `order`, `certify-minimal` and
+`an-order` reports were rewritten when each pair's witness became its
+own ray column; nothing else in those reports changed then.
 Any change to certificates, witnesses, contraction steps, Hasse diagrams
 or the JSON layout shows up here.
 

@@ -224,7 +224,7 @@ def _record(name):
     return {
         "RayBasis": (ray_basis(g), "det"),
         "NashRelation": (rm.get(0, 1), "witness_ij"),
-        "RelationMatrix": (rm, "relations"),
+        "RelationMatrix": (rm, "rays"),
         "BlowDownStep": (cert.contraction.steps[0], "vertex"),
         "ContractionTrace": (cert.contraction, "empty"),
         "DecompositionCertificate": (cert, "bamboo"),

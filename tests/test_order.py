@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from nasharcs.cycles import is_anti_nef, ray_basis
+from nasharcs.cycles import integer_rays, is_anti_nef, ray_basis
 from nasharcs.errors import SameVertex
 from nasharcs.generators import an_graph
 from nasharcs.graph import make_graph, serialize_graph
@@ -11,25 +13,25 @@ from nasharcs.order import (
     an_relation,
     hasse_edges,
     hasse_export,
-    relate,
     relation_matrix,
     serialize_relation_matrix,
 )
-from builders import e6_graph
-from oracles import dot_ids
+from builders import e6_graph, random_negative_definite_graph
+from oracles import dot_ids, order_cycle_witness
 
 
 def test_relate_same_vertex():
     with pytest.raises(SameVertex):
-        relate(an_graph(3), 2, 2)
+        relation_matrix(an_graph(3)).get(2, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bamboo_all_incomparable(n):
     g = an_graph(n)
+    rm = relation_matrix(g)
     for i in range(n):
         for j in range(i + 1, n):
-            rel = relate(g, i, j)
+            rel = rm.get(i, j)
             assert rel.verdict is Verdict.INCOMPARABLE
             assert is_anti_nef(g, rel.witness_ij) and rel.witness_ij[i] < rel.witness_ij[j]
             assert is_anti_nef(g, rel.witness_ji) and rel.witness_ji[j] < rel.witness_ji[i]
@@ -60,12 +62,29 @@ def test_minimal_graph_columns_peak_on_diagonal(minimal_corpus):
         assert all(rel.verdict is Verdict.INCOMPARABLE for _, rel in rm.pairs())
 
 
+def test_own_column_decides_like_the_column_scan(negdef_corpus):
+    # some ray column has z[i] < z[j] iff column j has it: along the i-j
+    # path col_k[j] / col_k[i] grows strictly toward j, for every k
+    rng = random.Random(1985)
+    graphs = [*negdef_corpus,
+              *(random_negative_definite_graph(rng, max_vertices=40) for _ in range(300))]
+    strict = 0
+    for g in graphs:
+        columns = integer_rays(g)
+        for (i, j), rel in relation_matrix(g).pairs():
+            assert (order_cycle_witness(columns, i, j) is None) is (rel.witness_ij is None)
+            assert rel.witness_ij in (None, columns[j])
+            strict += rel.witness_ij is None
+    # pairs with no witness one way occur, so both answers are compared
+    assert strict > 100
+
+
 def test_two_vertex_weights_2_3_incomparable():
     # exact inversion gives ray columns (3/5, 1/5) and (1/5, 2/5); each
     # column separates the pair in one direction, so neither closure
     # contains the other
     g = make_graph([("E1", 2), ("E2", 3)], [("E1", "E2")])
-    rel = relate(g, 0, 1)
+    rel = relation_matrix(g).get(0, 1)
     assert rel.verdict is Verdict.INCOMPARABLE
     assert rel.witness_ij == (1, 2)
     assert rel.witness_ji == (3, 1)
@@ -184,16 +203,37 @@ def test_an_relation_closed_form_matches_engine():
                 assert closed.verdict is Verdict.INCOMPARABLE
                 assert is_anti_nef(g, closed.witness_ij)
                 assert closed.witness_ij[i] < closed.witness_ij[j]
-                assert relate(g, i, j).verdict is Verdict.INCOMPARABLE
+                assert relation_matrix(g).get(i, j).verdict is Verdict.INCOMPARABLE
 
 
 def test_serialize_relation_matrix():
     doc = serialize_relation_matrix(relation_matrix(an_graph(2)))
     assert doc["vertices"] == ["E1", "E2"]
-    assert len(doc["pairs"]) == 2
-    assert sorted(doc["non_inclusions"]) == [["E1", "E2"], ["E2", "E1"]]
-    for p in doc["pairs"]:
+    pairs = list(doc["pairs"])
+    assert len(pairs) == 2
+    assert list(doc["non_inclusions"]) == [["E1", "E2"], ["E2", "E1"]]
+    for p in pairs:
         assert p["verdict"] == "incomparable"
+
+
+def test_serialized_arrays_are_lazy_and_reiterable():
+    # pairs by vertex index and non_inclusions by id, as sorted lists were;
+    # each iteration makes the items again
+    # E6 with ids that sort opposite to the vertex order
+    name = {f"v{k}": chr(ord("g") - k) for k in range(1, 7)}
+    doc = serialize_graph(e6_graph())
+    g = make_graph([(name[v["id"]], v["w"]) for v in doc["vertices"]],
+                   [(name[a], name[b]) for a, b in doc["edges"]])
+    rm = relation_matrix(g)
+    assert rm.open_pairs()
+    doc = serialize_relation_matrix(rm)
+    pairs = list(doc["pairs"])
+    assert [(p["i"], p["j"]) for p in pairs] == [
+        (g.ids[i], g.ids[j]) for (i, j), _ in sorted(rm.pairs())]
+    assert list(doc["pairs"]) == pairs and list(doc["pairs"])[0] is not pairs[0]
+    expected = sorted([g.ids[a], g.ids[b]] for a, b in rm.non_inclusions())
+    assert list(doc["non_inclusions"]) == expected == list(doc["non_inclusions"])
+    assert not isinstance(doc["pairs"], (list, tuple))
 
 
 E6_DOT = """digraph divisor_order {
