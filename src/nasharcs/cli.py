@@ -49,10 +49,9 @@ from .order import LazyArray, hasse_export, relation_matrix, serialize_relation_
 # linearly (at n=3, one arc of 2000 terms takes about 19 times one of 1000)
 MAX_TRUNC = 1024
 
-# most vertices `analyze`, `order`, `certify-minimal` and `an-order` take:
-# deciding the pairs takes n^2 steps, but the reports hold n (n - 1) pairs
-# of n-entry witnesses, so output and the time to write it grow as n^3
-# (58 MB for `an-order` at n = 128)
+# most vertices `analyze`, `order`, `certify-minimal` and `an-order` take: the
+# pairs are decided in n^2 steps, but a report holds n (n - 1) pairs of n-entry
+# witnesses, so output and writing time grow as n^3 (58 MB for `an-order` at 128)
 MAX_VERTICES = 128
 
 
@@ -177,10 +176,9 @@ def _emit(document: dict[str, Any], out: str | None) -> None:
 
     The text goes to the file `out`, or to stdout, in writes of about
     `CHUNK` (64 Ki) characters, so the whole report is never one string and
-    a write holds little beside it.  A `LazyArray` is written item by item
-    as it makes them, so its items are never all held at once.  Each int
-    array is rendered once per indent, and found again by identity when a
-    later pair cites it.
+    a write holds little beside it; a `LazyArray`'s items are written as
+    they are made.  Each int array is rendered once per indent, and found
+    again by identity when a later pair cites it.
     """
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -364,18 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message: str) -> None:
-    """Print one `error:` line to stderr, if it can be written at all; the
-    exit code must not depend on it."""
-    if sys.stderr is None:  # started with file descriptor 2 closed
-        return
-    try:
-        print(f"error: {message}", file=sys.stderr, flush=True)
-    except OSError:
-        # drop the stream, or the interpreter flushes it again at exit and exits 120
-        sys.stderr = None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -384,11 +370,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NashArcsError as exc:
-        _error(f"{type(exc).__name__}: {exc}")
-        return 2
-    except OSError as exc:
-        _error(str(exc))
+    except (NashArcsError, OSError) as exc:
+        kind = f"{type(exc).__name__}: " if isinstance(exc, NashArcsError) else ""
+        # the exit code must not depend on stderr: None means descriptor 2 was closed;
+        # drop it after a failed write, or the exit flushes it again and exits 120
+        if sys.stderr is not None:
+            try:
+                print(f"error: {kind}{exc}", file=sys.stderr, flush=True)
+            except OSError:
+                sys.stderr = None
         return 2
 
 

@@ -1,11 +1,19 @@
 """The divisorial order relation and its non-inclusion consequences.
 
 Two exceptional divisors are compared through the orders that functions
-on the singularity can take along them; computationally that reduces to
-comparing entries of the ray columns of (-M)^-1.  Each strict comparison
-yields a proof that one Nash family closure is not contained in the
-other.  A relation is read off two columns when it is asked for, so the
-table holds the graph and its n rays, not its n (n - 1) pairs.
+on the singularity can take along them, that is through anti-nef cycles.
+Each strict comparison yields a proof that one Nash family closure is
+not contained in the other.
+
+An anti-nef cycle with z[i] < z[j] exists iff ray column j of (-M)^-1
+has that property.  The columns generate the anti-nef cone, so if any
+cycle has it, some column does.  Along the tree path from i to j the
+ratio col_k[j] / col_k[i] depends only on where the path from k meets
+it, and grows strictly toward j: each step multiplies it by
+1 / (r(u->v) r(v->u)) > 1, for the subtree-determinant ratios r of
+`cycles.ray_basis` (Eisenbud-Neumann 1985).  So column j is the best
+witness, and on a minimal graph it always is one (Lipman's peak on the
+diagonal).  Each relation is read off two columns when it is asked for.
 """
 from __future__ import annotations
 
@@ -47,18 +55,7 @@ class NashRelation(NamedTuple):
 
 
 class RelationMatrix(NamedTuple):
-    """Relation table of a graph, read on demand off its integer rays.
-
-    An anti-nef cycle with z[i] < z[j] exists iff ray column j has that
-    property.  The columns generate the anti-nef cone, so if any cycle
-    has it, some column does.  Along the tree path from i to j the ratio
-    col_k[j] / col_k[i] depends only on where the path from k meets it,
-    and grows strictly toward j: each step multiplies it by
-    1 / (r(u->v) r(v->u)) > 1, for the subtree-determinant ratios r of
-    `cycles.ray_basis` (Eisenbud-Neumann 1985).  So column j is the best
-    witness, and on a minimal graph it always is one (Lipman's peak on
-    the diagonal).
-    """
+    """Relation table of a graph: its integer rays, and no pair stored."""
 
     graph: WeightedDualGraph
     rays: tuple[Cycle, ...]  # `integer_rays(graph)`
@@ -93,27 +90,22 @@ def _verify_table(rm: RelationMatrix) -> None:
     """Post-hoc sanity: witness validity, a witness for every pair,
     antisymmetry and transitivity of Less.
 
-    Witnesses are ray columns, so each column is tested for anti-nefness
-    once, and each witness is looked up among them by identity.
+    A witness must be one of the table's ray columns, found by identity;
+    each column is tested for anti-nefness once.  Every ordered pair comes
+    both ways round, so checking witness_ij checks every witness.
     """
     g = rm.graph
     anti_nef = {id(column): is_anti_nef(g, column) for column in rm.rays}
     less = set()
     for (i, j), rel in rm.pairs():
-        if rel.witness_ij is None and rel.witness_ji is None:
+        w = rel.witness_ij
+        if w is None and rel.witness_ji is None:
             raise InconsistentRelation(
                 f"divisors {i} and {j} compare equal on every ray; "
                 "the intersection matrix cannot be invertible"
             )
-        for vertex_lo, vertex_hi, w in (
-            (i, j, rel.witness_ij),
-            (j, i, rel.witness_ji),
-        ):
-            if w is None:
-                continue
-            # a witness must be one of the table's own anti-nef columns
-            if not (anti_nef.get(id(w), False) and w[vertex_lo] < w[vertex_hi]):
-                raise InconsistentRelation(f"bad witness for pair ({i}, {j})")
+        if w is not None and not (anti_nef.get(id(w), False) and w[i] < w[j]):
+            raise InconsistentRelation(f"bad witness for pair ({i}, {j})")
         if rel.verdict is Verdict.LESS:  # the reversed pair reads GREATER
             less.add((i, j))
     for (a, b) in less:
@@ -171,11 +163,8 @@ def an_relation(m: int, i: int, j: int) -> NashRelation:
 
 
 class LazyArray:
-    """A JSON array whose items `make()` builds afresh on every iteration.
-
-    `cli._emit` writes the items as they are made, so a report never
-    holds them all; `json.dumps(..., default=list)` reads it as a list.
-    """
+    """A JSON array whose items `make()` builds afresh on every iteration;
+    `cli._emit` writes each item as it is made."""
 
     __slots__ = ("_make",)
 
@@ -189,31 +178,18 @@ class LazyArray:
 def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:
     """The table's report: "pairs" by vertex index, "non_inclusions" by id,
     both as lazy arrays made from the table while they are written."""
-    g = rm.graph
-    ids = g.ids
+    n, ids = rm.graph.n, rm.graph.ids
+    by_id = sorted(range(n), key=ids.__getitem__)
 
-    def pairs() -> Iterator[dict[str, Any]]:
-        for i in range(g.n):
-            for j in range(g.n):
-                if i != j:
-                    rel = rm.get(i, j)
-                    yield {
-                        "i": ids[i],
-                        "j": ids[j],
-                        "verdict": rel.verdict.value,
-                        "witness_ij": rel.witness_ij,
-                        "witness_ji": rel.witness_ji,
-                    }
-
-    def non_inclusions() -> Iterator[list[str]]:
-        by_id = sorted(range(g.n), key=ids.__getitem__)
-        for a in by_id:
-            for b in by_id:
-                if a != b and rm.get(a, b).witness_ij is not None:
-                    yield [ids[a], ids[b]]
+    def pair(i: int, j: int) -> dict[str, Any]:
+        rel = rm.get(i, j)
+        return {"i": ids[i], "j": ids[j], "verdict": rel.verdict.value,
+                "witness_ij": rel.witness_ij, "witness_ji": rel.witness_ji}
 
     return {
         "vertices": list(ids),
-        "pairs": LazyArray(pairs),
-        "non_inclusions": LazyArray(non_inclusions),
+        "pairs": LazyArray(lambda: (pair(i, j) for i in range(n) for j in range(n) if i != j)),
+        "non_inclusions": LazyArray(lambda: (
+            [ids[a], ids[b]] for a in by_id for b in by_id
+            if a != b and rm.get(a, b).witness_ij is not None)),
     }
