@@ -1,39 +1,20 @@
 """Arc-level ground truth for the weight-2 bamboo singularities z^(n+1) = x y.
 
-Samples truncated power-series arcs in each family N_i, computes contact
-orders of polynomials along them, and checks the coefficient separation
-that keeps distinct families out of each other's closures.  Everything
-is exact: the series are integer lists over a common denominator, turned
-into `Fraction`s only in the returned values; randomness is fully seeded.
+Samples truncated power-series arcs in each family N_i, reads the contact
+orders of the coordinates off them, checks that they satisfy the defining
+equation, and checks the coefficient separation that keeps distinct
+families out of each other's closures.  Everything is exact integer
+arithmetic: each coordinate is a tuple of integer numerators over its own
+denominator; randomness is fully seeded.
 """
 from __future__ import annotations
 
 import random
-from fractions import Fraction as Q
-from math import lcm
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
-from .errors import (
-    BadFamilyIndex,
-    BadParameter,
-    SameVertex,
-    TruncationTooSmall,
-    ZeroPolynomial,
-)
+from .errors import BadFamilyIndex, BadParameter, SameVertex, TruncationTooSmall
 
-Series = tuple[Q, ...]  # coefficient of t^k at index k
-
-# monomial exponents (x, y, z) -> coefficient
-Poly = Mapping[tuple[int, int, int], Q | int]
-
-POLY_X: Poly = {(1, 0, 0): 1}
-POLY_Y: Poly = {(0, 1, 0): 1}
-POLY_Z: Poly = {(0, 0, 1): 1}
-
-
-def defining_polynomial(n: int) -> Poly:
-    """z^(n+1) - x y."""
-    return {(0, 0, n + 1): 1, (1, 1, 0): -1}
+Series = tuple[int, ...]  # numerator of the coefficient of t^k at index k
 
 
 # Arcs are drawn as integer series over the common denominator _SCALE.
@@ -53,19 +34,6 @@ def _int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
             for j, bj in enumerate(b[: order + 1 - i], i):
                 if bj:
                     out[j] += ai * bj
-    return out
-
-
-def _int_pow(a: Sequence[int], k: int, order: int) -> list[int]:
-    """a^k mod t^(order+1) by square-and-multiply."""
-    out = [1] + [0] * order
-    base = list(a[: order + 1])
-    while k > 0:
-        if k & 1:
-            out = _int_mul(out, base, order)
-        k >>= 1
-        if k:
-            base = _int_mul(base, base, order)
     return out
 
 
@@ -90,16 +58,18 @@ def _unit_pow(v: Sequence[int], m: int, order: int) -> list[int]:
     return p
 
 
-def series_order(a: Sequence[Q]) -> int | None:
+def _first_nonzero(a: Sequence[int]) -> int | None:
     """Least exponent with a nonzero coefficient; None if identically zero."""
-    for k, c in enumerate(a):
-        if c != 0:
-            return k
-    return None
+    return next((k for k, c in enumerate(a) if c), None)
 
 
 class TruncatedArc(NamedTuple):
-    """Arc of the family N_i on z^(n+1) = x y, truncated at order `trunc`."""
+    """Arc of the family N_i on z^(n+1) = x y, truncated at order `trunc`.
+
+    x, y and z hold the numerators of the coefficients of t^0..t^trunc;
+    with den = (dx, dy, dz), the coefficient of t^k in x is x[k] / dx,
+    and likewise for y and z.
+    """
 
     n: int
     family: int
@@ -107,6 +77,7 @@ class TruncatedArc(NamedTuple):
     x: Series
     y: Series
     z: Series
+    den: tuple[int, int, int]
 
 
 def _draw_x(n: int, i: int, trunc: int, seed: Any) -> tuple[random.Random, list[int]]:
@@ -156,72 +127,23 @@ def sample_arc(n: int, i: int, trunc: int, seed: Any) -> TruncatedArc:
             if u[j]:
                 acc -= u[j] * q[k - j] * u0_pow[j - 1]
         q.append(acc)
-    scale_n = _SCALE**n
-
+    # over the one denominator u0^(trunc+1) S^n, the numerator of t^k is
+    # q[k] u0^(trunc-k)
     return TruncatedArc(
         n=n,
         family=i,
         trunc=trunc,
-        x=tuple(Q(c, _SCALE) for c in x[: trunc + 1]),
-        y=tuple(Q(c, u0_pow[k + 1] * scale_n) for k, c in enumerate(q)),
-        z=tuple(Q(c, _SCALE) for c in z[: trunc + 1]),
+        x=tuple(x[: trunc + 1]),
+        y=tuple(c * u0_pow[trunc - k] for k, c in enumerate(q)),
+        z=tuple(z[: trunc + 1]),
+        den=(_SCALE, u0_pow[trunc + 1] * _SCALE**n, _SCALE),
     )
 
 
-def _clear_denominators(series: Sequence[Q | int], order: int) -> tuple[list[int], int]:
-    """(numerators, d) with series = numerators / d mod t^(order+1), d the lcm."""
-    coeffs = [Q(c) for c in series[: order + 1]]
-    d = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (d // c.denominator) for c in coeffs]
-    return nums + [0] * (order + 1 - len(nums)), d
-
-
-def evaluate(arc: TruncatedArc, f: Poly) -> Series:
-    """f(x(t), y(t), z(t)) mod t^(trunc+1).
-
-    Every monomial key of f must be a tuple of three non-negative ints
-    (the exponents of x, y and z); any other key raises `BadParameter`.
-    """
-    order = arc.trunc
-    coords = (arc.x, arc.y, arc.z)
-    cleared: dict[int, tuple[list[int], int]] = {}
-    terms = []
-    for key, coeff in f.items():
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 3
-            and all(isinstance(e, int) and e >= 0 for e in key)
-        ):
-            raise BadParameter(f"monomial key {key!r} is not three non-negative ints")
-        c = Q(coeff)
-        num = [c.numerator] + [0] * order
-        den = c.denominator
-        for axis, e in enumerate(key):
-            if e > 0:
-                if axis not in cleared:
-                    cleared[axis] = _clear_denominators(coords[axis], order)
-                nums, d = cleared[axis]
-                num = _int_mul(num, _int_pow(nums, e, order), order)
-                den *= d**e
-        terms.append((num, den))
-    common = lcm(*(den for _, den in terms))
-    out = [0] * (order + 1)
-    for num, den in terms:
-        factor = common // den
-        for k, c in enumerate(num):
-            out[k] += c * factor
-    return tuple(Q(c, common) for c in out)
-
-
-def contact_order(arc: TruncatedArc, f: Poly) -> int | None:
-    """ord_t of f along the arc; None means unbounded at this truncation.
-
-    Unbounded is a legitimate value (the defining equation evaluates to
-    an exact zero), so callers decide whether to raise the truncation.
-    """
-    if not f or all(Q(c) == 0 for c in f.values()):
-        raise ZeroPolynomial("contact order of the zero polynomial is undefined")
-    return series_order(evaluate(arc, f))
+def contact_order(arc: TruncatedArc, axis: str) -> int | None:
+    """ord_t of the coordinate `axis` ("x", "y" or "z") along the arc;
+    None means unbounded at this truncation."""
+    return _first_nonzero({"x": arc.x, "y": arc.y, "z": arc.z}[axis])
 
 
 def separation_check(
@@ -253,5 +175,14 @@ def separation_check(
 
 
 def defining_residual(arc: TruncatedArc) -> Series:
-    """z^(n+1) - x y along the arc; must vanish through the truncation."""
-    return evaluate(arc, defining_polynomial(arc.n))
+    """z^(n+1) - x y along the arc, through t^trunc, as numerators over
+    dz^(n+1) dx dy; every one must vanish."""
+    dx, dy, dz = arc.den
+    m, order = arc.n + 1, arc.trunc
+    zp = [0] * (order + 1)
+    k = _first_nonzero(arc.z)
+    if k is not None and k * m <= order:
+        zp[k * m :] = _unit_pow(arc.z[k:], m, order - k * m)
+    xy = _int_mul(arc.x, arc.y, order)
+    lift = dz**m
+    return tuple(c * dx * dy - d * lift for c, d in zip(zp, xy))

@@ -15,15 +15,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator
 
 from . import __version__
-from .arcs import (
-    POLY_X,
-    POLY_Y,
-    POLY_Z,
-    contact_order,
-    defining_residual,
-    sample_arc,
-    separation_check,
-)
+from .arcs import contact_order, defining_residual, sample_arc, separation_check
 from .classify import (
     certify_minimal,
     decompose_minimal,
@@ -46,7 +38,7 @@ from .order import LazyArray, hasse_export, relation_matrix, serialize_relation_
 
 
 # longest arc series `an-arcs` will build; the cost grows much faster than
-# linearly (at n=3, one arc of 2000 terms takes about 19 times one of 1000)
+# linearly (at n=3, one arc of 2000 terms takes about 8 times one of 1000)
 MAX_TRUNC = 1024
 
 # most vertices `analyze`, `order`, `certify-minimal` and `an-order` take: the
@@ -284,12 +276,8 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
     ok = True
     for s in range(args.samples):
         arc = sample_arc(n, i, trunc, (args.seed, s))
-        orders = {
-            "x": contact_order(arc, POLY_X),
-            "y": contact_order(arc, POLY_Y),
-            "z": contact_order(arc, POLY_Z),
-        }
-        residual_zero = all(c == 0 for c in defining_residual(arc))
+        orders = {axis: contact_order(arc, axis) for axis in "xyz"}
+        residual_zero = not any(defining_residual(arc))
         expected = orders == {"x": i, "y": n + 1 - i, "z": 1}
         ok = ok and residual_zero and expected
         records.append(

@@ -10,7 +10,6 @@ strings of a report.
 """
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -105,8 +104,11 @@ class RayBasis(NamedTuple):
         """Read-only view for external `matrix.rows()` readers."""
         return self
 
-    def rows(self) -> tuple[tuple[Q, ...], ...]:
-        """The entries as reduced `Fraction`s e/det; the package never uses this."""
+    def rows(self) -> tuple[tuple["Fraction", ...], ...]:
+        """The entries as reduced `Fraction`s e/det; the package never uses
+        this, so no command loads `fractions`."""
+        from fractions import Fraction as Q
+
         return tuple(tuple(Q(e, self.det) for e in column) for column in self.columns)
 
 

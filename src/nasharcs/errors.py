@@ -45,7 +45,7 @@ class NotMinimal(NashArcsError):
 
 class BadParameter(NashArcsError):
     """Parameter out of range: the size of a graph file or of the built-in
-    A_n, an arc sample count or truncation, or a polynomial's monomial key."""
+    A_n, or an arc sample count or truncation."""
 
 
 class BadFamilyIndex(NashArcsError):
@@ -55,6 +55,3 @@ class BadFamilyIndex(NashArcsError):
 class TruncationTooSmall(NashArcsError):
     """Requested power-series truncation cannot witness the needed orders."""
 
-
-class ZeroPolynomial(NashArcsError):
-    """Contact order of the zero polynomial is undefined."""

@@ -16,8 +16,11 @@ or the JSON layout shows up here.
 
 `data/golden/an-arcs/<name>.json` holds the `an-arcs` report of each
 argument set in `ARC_CASES`, written by the CLI while the arc series
-were still computed with `Fraction` products.  A change to any sampled
-arc, contact order, residual or separation verdict shows up there.
+were still computed with `Fraction` products; they stayed byte-identical
+when the arc layer became integer-only.  A change to any sampled arc,
+contact order, residual or separation verdict shows up there.
+Every comparison goes through `assert_same`, so a mismatch in a large
+report fails in seconds.
 `data/golden/an-order/n6.{json,dot}` is `an-order --n 6 --dot`.
 """
 from __future__ import annotations
@@ -30,6 +33,23 @@ import pytest
 from nasharcs.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def assert_same(got: str | bytes, expected: str | bytes) -> None:
+    """Fail unless two texts are equal, naming the first differing offset
+    and showing about 200 characters around it.  The texts are compared as
+    a bool first: pytest's own report of a failed `==` diffs them line by
+    line, which on a report of a few megabytes runs for minutes."""
+    if got == expected:
+        return
+    k = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+             min(len(got), len(expected)))
+    lo, hi = max(k - 100, 0), k + 100
+    pytest.fail(
+        f"first difference at offset {k} of lengths {len(got)} and {len(expected)}\n"
+        f"got:      {got[lo:hi]!r}\nexpected: {expected[lo:hi]!r}",
+        pytrace=False,
+    )
 _MINIMAL = ["bamboo_322", "dn6_minimal", *(f"minimal_{k}" for k in range(5))]
 _DEFINITE = [*_MINIMAL, "e6", *(f"negdef_{k}" for k in range(4))]
 # (graph name, command) -> exit code; `order` exits 1 where pairs stay open
@@ -72,16 +92,16 @@ def test_cli_reproduces_golden(name, command, tmp_path):
     if command in DOT_COMMANDS:
         args += ["--dot", str(dot)]
     assert main([*args, "--out", str(out)]) == CASES[(name, command)]
-    assert out.read_bytes() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+    assert_same(out.read_bytes(), (GOLDEN / f"{name}.{command}.json").read_bytes())
     if command in DOT_COMMANDS:
-        assert dot.read_bytes() == (GOLDEN / f"{name}.{command}.dot").read_bytes()
+        assert_same(dot.read_bytes(), (GOLDEN / f"{name}.{command}.dot").read_bytes())
 
 
 def test_an_order_reproduces_golden(tmp_path):
     out, dot = tmp_path / "out.json", tmp_path / "out.dot"
     assert main(["an-order", "--n", "6", "--dot", str(dot), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "an-order" / "n6.json").read_bytes()
-    assert dot.read_bytes() == (GOLDEN / "an-order" / "n6.dot").read_bytes()
+    assert_same(out.read_bytes(), (GOLDEN / "an-order" / "n6.json").read_bytes())
+    assert_same(dot.read_bytes(), (GOLDEN / "an-order" / "n6.dot").read_bytes())
 
 
 ARC_GOLDEN = GOLDEN / "an-arcs"
@@ -105,4 +125,4 @@ def test_an_arcs_reproduces_golden(name, tmp_path):
     args, expected_code = ARC_CASES[name]
     out = tmp_path / "out.json"
     assert main(["an-arcs", *args, "--out", str(out)]) == expected_code
-    assert out.read_bytes() == (ARC_GOLDEN / f"{name}.json").read_bytes()
+    assert_same(out.read_bytes(), (ARC_GOLDEN / f"{name}.json").read_bytes())

@@ -6,7 +6,7 @@ tree with the stdlib `ast`: a name bound by a module-level `import` or
 a module-level `def`, `class` or assigned name must be read somewhere
 in the package outside its own statement.  A fresh interpreter checks
 that loading the CLI, and with it every layer, does not pull in
-`dataclasses` or `inspect`.
+`dataclasses`, `inspect` or `fractions`.
 """
 from __future__ import annotations
 
@@ -109,7 +109,11 @@ def test_dead_definition_is_caught():
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter, because pytest and hypothesis import both modules
-    probe = "import sys, nasharcs.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # nor `fractions`, with its `decimal` and `numbers`: only `RayBasis.rows` uses it
+    probe = (
+        "import sys, nasharcs.cli; print(sorted("
+        "{'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
