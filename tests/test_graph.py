@@ -96,6 +96,34 @@ def test_weight_one_needs_auxiliary_flag():
     assert g.auxiliary
 
 
+def _doc(vertices, edges):
+    return {"vertices": [{"id": v, "w": w} for v, w in vertices], "edges": edges}
+
+
+# a document with two faults reports the first one a reader meets: duplicate
+# ids, then each edge in order (unknown endpoint, self-loop, multi-edge), then
+# an empty vertex list, then each weight, then the tree shape
+@pytest.mark.parametrize("doc, error, message", [
+    (_doc([("a", 2), ("a", 2)], [["a", "z"]]),
+     MalformedDocument, "duplicate vertex ids"),
+    (_doc([("a", 0), ("b", 2)], [["a", "z"]]),
+     MalformedDocument, "edge ('a', 'z') references unknown vertex"),
+    (_doc([("a", 2), ("b", 2), ("c", 2)], [["a", "b"], ["b", "c"], ["c", "a"], ["a", "a"]]),
+     MalformedDocument, "self-loop on 'a'"),
+    (_doc([("a", 1), ("b", 2)], [["a", "b"], ["b", "a"]]),
+     MalformedDocument, "multi-edge between 'b' and 'a'"),
+    (_doc([], [["a", "b"]]),
+     MalformedDocument, "edge ('a', 'b') references unknown vertex"),
+    (_doc([("a", 0), ("b", 2)], []),
+     BadWeight, "weight 0 must be an integer >= 1"),
+], ids=["duplicate+unknown", "unknown+weight", "cycle+self-loop", "multi-edge+weight-1",
+        "edge-on-no-vertices", "weight-0+disconnected"])
+def test_first_of_two_faults_is_reported(doc, error, message):
+    with pytest.raises(error) as info:
+        parse_graph(doc)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_garbage_document():
     with pytest.raises(MalformedDocument):
         parse_graph("not json {")
