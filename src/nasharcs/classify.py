@@ -126,7 +126,7 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
         raise BadWeight(f"weights exceed valences by more than {MAX_ATTACHED} in all")
     # g keeps its indices 0..n-1; attached vertices take n, n+1, ...
     ids = list(g.ids)
-    edges = set(g.edges)
+    edges = [(g.ids[i], g.ids[j]) for i, j in g.edges]
     taken = set(g.ids)
     attached: dict[str, int] = {}
     pieces: list[tuple[str, ...]] = []
@@ -143,15 +143,11 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
             aux_id = f"{vid}+{suffix}"
             taken.add(aux_id)
             suffix += 1
-            edges.add((v, len(ids)))
+            edges.append((vid, aux_id))
             ids.append(aux_id)
             pieces.append(trunk + (aux_id,))
-    supergraph = WeightedDualGraph(
-        ids=tuple(ids),
-        weights=g.weights + (1,) * (len(ids) - g.n),
-        edges=frozenset(edges),
-        auxiliary=True,
-    )
+    weights = g.weights + (1,) * (len(ids) - g.n)
+    supergraph = WeightedDualGraph(zip(ids, weights), edges, auxiliary=True)
     return supergraph, attached, tuple(pieces), contracts_to_empty(supergraph)
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .errors import BadParameter
-from .graph import WeightedDualGraph, make_graph
+from .graph import WeightedDualGraph
 
 
 def an_graph(n: int) -> WeightedDualGraph:
@@ -10,7 +10,7 @@ def an_graph(n: int) -> WeightedDualGraph:
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
     ids = [f"E{k}" for k in range(1, n + 1)]
-    return make_graph(
+    return WeightedDualGraph(
         [(vid, 2) for vid in ids],
         [(ids[k], ids[k + 1]) for k in range(n - 1)],
     )

@@ -23,51 +23,63 @@ T = TypeVar("T")
 class WeightedDualGraph:
     """Immutable weighted tree; vertices are dense indices 0..n-1 with string ids.
 
-    Equality, hashing and `repr` use the four data fields only, and no
-    attribute can be assigned once set.  The constructor also builds
-    `adj`, each vertex's sorted neighbours, and `index`, the id -> index
-    dict.  Other derived per-graph data (rooted walks, definiteness,
-    fundamental cycle, ray basis, relation table, ...) is memoized in
-    `_memo`, a dict owned by this instance and filled by functions
-    decorated with `cached_on_graph`; it is dropped with the graph, and a
-    lookup never hashes or compares the graph.
+    `WeightedDualGraph(vertices, edges, auxiliary=False)` takes (id,
+    weight) pairs, whose order fixes the indices, and id-labelled edges.
+    It is the only place a graph is checked, each check once and in this
+    order: duplicate ids; per edge, an unknown endpoint, a self-loop, a
+    multi-edge; no vertices; per weight, an integer >= 1, and 1 only if
+    `auxiliary`; then the tree shape.
+
+    The fields are `ids`, `weights`, `edges` (index pairs (i, j) with
+    i < j, as a frozenset) and `auxiliary`.  Equality, hashing and `repr`
+    use these four only, and no attribute can be assigned once set.  The
+    constructor also builds `adj`, each vertex's sorted neighbours, and
+    `index`, the id -> index dict.  Other derived per-graph data (rooted
+    walks, definiteness, fundamental cycle, ray basis, relation table,
+    ...) is memoized in `_memo`, a dict owned by this instance and filled
+    by functions decorated with `cached_on_graph`; it is dropped with the
+    graph, and a lookup never hashes or compares the graph.
     """
 
     __slots__ = ("ids", "weights", "edges", "auxiliary", "adj", "index", "_memo")
 
     def __init__(
         self,
-        ids: tuple[str, ...],
-        weights: tuple[int, ...],
-        edges: frozenset[tuple[int, int]],  # pairs (i, j) with i < j
+        vertices: Iterable[tuple[str, int]],
+        edges: Iterable[tuple[str, str]],
         auxiliary: bool = False,
     ) -> None:
-        self.ids, self.weights, self.edges, self.auxiliary = ids, weights, edges, auxiliary
-        n = len(ids)
-        if n == 0:
-            raise MalformedDocument("graph needs at least one vertex")
-        index = {vid: k for k, vid in enumerate(ids)}
+        vlist = list(vertices)
+        n = len(vlist)
+        index = {vid: k for k, (vid, _) in enumerate(vlist)}
         if len(index) != n:
             raise MalformedDocument("duplicate vertex ids")
-        if len(weights) != n:
-            raise MalformedDocument("weights length does not match vertices")
-        for w in weights:
+        pairs: set[tuple[int, int]] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for a, b in edges:
+            if a not in index or b not in index:
+                raise MalformedDocument(f"edge ({a!r}, {b!r}) references unknown vertex")
+            if a == b:
+                raise MalformedDocument(f"self-loop on {a!r}")
+            i, j = sorted((index[a], index[b]))
+            if (i, j) in pairs:
+                raise MalformedDocument(f"multi-edge between {a!r} and {b!r}")
+            pairs.add((i, j))
+            adj[i].append(j)
+            adj[j].append(i)
+        if n == 0:
+            raise MalformedDocument("graph needs at least one vertex")
+        for _, w in vlist:
             if not isinstance(w, int) or w < 1:
                 raise BadWeight(f"weight {w!r} must be an integer >= 1")
             if w == 1 and not auxiliary:
                 raise BadWeight("weight 1 only allowed on auxiliary graphs")
-        for e in edges:
-            i, j = e
-            if not (0 <= i < n and 0 <= j < n):
-                raise MalformedDocument(f"edge {e} out of range")
-            if i >= j:
-                raise MalformedDocument(f"edge {e} not normalized or self-loop")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        if len(edges) != n - 1 or len(_walk(adj, 0)[0]) != n:
+        if len(pairs) != n - 1 or len(_walk(adj, 0)[0]) != n:
             raise NotATree("graph must be a connected tree")
+        self.ids = tuple(vid for vid, _ in vlist)
+        self.weights = tuple(w for _, w in vlist)
+        self.edges = frozenset(pairs)
+        self.auxiliary = auxiliary
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.index = index
         self._memo: dict = {}
@@ -117,35 +129,6 @@ class WeightedDualGraph:
         while out[-1] != i:
             out.append(parent[out[-1]])
         return tuple(reversed(out))
-
-
-def make_graph(
-    vertices: Iterable[tuple[str, int]],
-    edges: Iterable[tuple[str, str]],
-    auxiliary: bool = False,
-) -> WeightedDualGraph:
-    """Build a graph from (id, weight) pairs and id-labelled edges."""
-    vlist = list(vertices)
-    ids = tuple(v for v, _ in vlist)
-    index = {v: k for k, (v, _) in enumerate(vlist)}
-    if len(index) != len(vlist):
-        raise MalformedDocument("duplicate vertex ids")
-    norm = set()
-    for a, b in edges:
-        if a not in index or b not in index:
-            raise MalformedDocument(f"edge ({a!r}, {b!r}) references unknown vertex")
-        if a == b:
-            raise MalformedDocument(f"self-loop on {a!r}")
-        e = (min(index[a], index[b]), max(index[a], index[b]))
-        if e in norm:
-            raise MalformedDocument(f"multi-edge between {a!r} and {b!r}")
-        norm.add(e)
-    return WeightedDualGraph(
-        ids=ids,
-        weights=tuple(w for _, w in vlist),
-        edges=frozenset(norm),
-        auxiliary=auxiliary,
-    )
 
 
 def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
@@ -199,7 +182,7 @@ def parse_graph(document: str | dict[str, Any]) -> WeightedDualGraph:
     auxiliary = document.get("auxiliary", False)
     if not isinstance(auxiliary, bool):
         raise MalformedDocument(f"'auxiliary' must be true or false, got {auxiliary!r}")
-    return make_graph(vertices, edges, auxiliary=auxiliary)
+    return WeightedDualGraph(vertices, edges, auxiliary=auxiliary)
 
 
 def serialize_graph(g: WeightedDualGraph) -> dict[str, Any]:

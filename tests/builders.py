@@ -9,14 +9,14 @@ from __future__ import annotations
 import random
 
 from nasharcs.cycles import is_rational
-from nasharcs.graph import WeightedDualGraph, graph_is_negative_definite, make_graph
+from nasharcs.graph import WeightedDualGraph, graph_is_negative_definite
 
 
 def e6_graph() -> WeightedDualGraph:
     """Canonical labeling: chain v1-v2-v3-v4-v5 with v6 attached to v3, all weights 2."""
     ids = [f"v{k}" for k in range(1, 7)]
     edges = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v4", "v5"), ("v3", "v6")]
-    return make_graph([(vid, 2) for vid in ids], edges)
+    return WeightedDualGraph([(vid, 2) for vid in ids], edges)
 
 
 def random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -44,7 +44,7 @@ def _tree_from_edges(
     n: int, edges: list[tuple[int, int]], weights: list[int]
 ) -> WeightedDualGraph:
     ids = [f"v{k}" for k in range(1, n + 1)]
-    return make_graph(
+    return WeightedDualGraph(
         list(zip(ids, weights)),
         [(ids[i], ids[j]) for i, j in edges],
     )

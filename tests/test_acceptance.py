@@ -12,7 +12,7 @@ from nasharcs.arcs import contact_order, sample_arc, separation_check
 from nasharcs.classify import certify_minimal, contracts_to_empty, is_minimal, serialize_certificate
 from nasharcs.cycles import fundamental_cycle, is_anti_nef, is_rational
 from nasharcs.generators import an_graph
-from nasharcs.graph import make_graph
+from nasharcs.graph import WeightedDualGraph
 from nasharcs.order import Verdict, relation_matrix
 
 from builders import e6_graph
@@ -127,7 +127,7 @@ def test_criterion_6_minimal_certification(minimal_corpus):
     graphs = list(minimal_corpus)
     graphs += [an_graph(n) for n in range(2, 11)]
     graphs.append(
-        make_graph([("v1", 3), ("v2", 2), ("v3", 2)], [("v1", "v2"), ("v2", "v3")])
+        WeightedDualGraph([("v1", 3), ("v2", 2), ("v3", 2)], [("v1", "v2"), ("v2", "v3")])
     )
     ok = True
     for g in graphs:
@@ -169,6 +169,6 @@ def test_criterion_8_sandwich_construction():
     for n in range(1, 21):
         vertices = [("s", 1)] + [(f"E{k}", 2) for k in range(1, n + 1)]
         edges = [("s", "E1")] + [(f"E{k}", f"E{k + 1}") for k in range(1, n)]
-        g = make_graph(vertices, edges, auxiliary=True)
+        g = WeightedDualGraph(vertices, edges, auxiliary=True)
         ok = ok and contracts_to_empty(g).empty
     _report(8, "bamboo sandwich embedding contracts", ok)

@@ -19,7 +19,7 @@ from nasharcs.classify import (
 from nasharcs.cli import main
 from nasharcs.errors import InconsistentRelation, NotMinimal, SameVertex
 from nasharcs.generators import an_graph
-from nasharcs.graph import make_graph, parse_graph, serialize_graph
+from nasharcs.graph import WeightedDualGraph, parse_graph, serialize_graph
 from nasharcs.order import NashRelation, RelationMatrix, relation_matrix
 
 from builders import e6_graph
@@ -27,7 +27,7 @@ from oracles import dot_ids, exhaustive_contraction_orders, graph_state
 
 
 def bamboo_322():
-    return make_graph(
+    return WeightedDualGraph(
         [("v1", 3), ("v2", 2), ("v3", 2)], [("v1", "v2"), ("v2", "v3")]
     )
 
@@ -50,7 +50,7 @@ def test_bamboo_322_is_minimal():
 def test_is_an():
     assert is_an(an_graph(5)) == 5
     assert is_an(bamboo_322()) is None
-    star = make_graph(
+    star = WeightedDualGraph(
         [("c", 2), ("a", 2), ("b", 2), ("d", 2)],
         [("c", "a"), ("c", "b"), ("c", "d")],
     )
@@ -65,7 +65,7 @@ def test_contract_single_weight_one():
 
 
 def test_contract_single_weight_two_stuck():
-    g = make_graph([("a", 2)], [])
+    g = WeightedDualGraph([("a", 2)], [])
     trace = contracts_to_empty(g)
     assert not trace.empty
     assert trace.steps == ()
@@ -76,14 +76,14 @@ def test_bamboo_plus_one_contracts(n):
     # weight-2 bamboo with one weight-1 vertex on the end cascades to Empty
     vertices = [("p0", 1)] + [(f"p{k}", 2) for k in range(1, n + 1)]
     edges = [(f"p{k}", f"p{k + 1}") for k in range(n)]
-    g = make_graph(vertices, edges, auxiliary=True)
+    g = WeightedDualGraph(vertices, edges, auxiliary=True)
     trace = contracts_to_empty(g)
     assert trace.empty
     assert len(trace.steps) == n + 1
 
 
 def test_contract_trace_records_steps():
-    g = make_graph([("a", 1), ("b", 2)], [("a", "b")], auxiliary=True)
+    g = WeightedDualGraph([("a", 1), ("b", 2)], [("a", "b")], auxiliary=True)
     trace = contracts_to_empty(g)
     assert trace.empty
     assert [s.vertex for s in trace.steps] == ["a", "b"]
@@ -101,7 +101,7 @@ def test_contract_trace_records_steps():
 def test_contract_orders_by_index_not_id(vertices, edges, first):
     # the first eligible vertex and its neighbors come in vertex order;
     # sorting by id would give ("x", ("b", "z")) and ("a", ("y",))
-    step = contracts_to_empty(make_graph(vertices, edges, auxiliary=True)).steps[0]
+    step = contracts_to_empty(WeightedDualGraph(vertices, edges, auxiliary=True)).steps[0]
     assert (step.vertex, step.neighbors) == first
 
 
@@ -120,7 +120,7 @@ def test_contract_order_robust(minimal_corpus):
 
 
 def test_contract_stuck_graph_all_orders():
-    g = make_graph([("a", 2), ("b", 2)], [("a", "b")])
+    g = WeightedDualGraph([("a", 2), ("b", 2)], [("a", "b")])
     assert not contracts_to_empty(g).empty
     assert not exhaustive_contraction_orders(*graph_state(g))
 
@@ -318,7 +318,7 @@ def test_supergraph_dot_plain_ids_unchanged():
 
 
 def test_supergraph_dot_escapes_quotes_and_backslashes():
-    g = make_graph([('v"1', 3), ("v2\\", 2), ("v3", 2)], [('v"1', "v2\\"), ("v2\\", "v3")])
+    g = WeightedDualGraph([('v"1', 3), ("v2\\", 2), ("v3", 2)], [('v"1', "v2\\"), ("v2\\", "v3")])
     lines = supergraph_dot(decompose_minimal(g, 'v"1', "v3")).splitlines()
     assert lines[1] == r'  "v\"1" [label="v\"1 (3)"];'
     rename = {"v1": 'v"1', "v2": "v2\\", "v1+1": 'v"1+1'}

@@ -21,7 +21,7 @@ from nasharcs.errors import (
     ZeroCycle,
 )
 from nasharcs.generators import an_graph
-from nasharcs.graph import make_graph
+from nasharcs.graph import WeightedDualGraph
 from nasharcs.order import relation_matrix
 
 from builders import e6_graph, random_negative_definite_graph
@@ -72,12 +72,12 @@ def test_fundamental_cycle_e6():
 
 
 def test_fundamental_cycle_single_vertex():
-    assert fundamental_cycle(make_graph([("E1", 2)], [])) == (1,)
+    assert fundamental_cycle(WeightedDualGraph([("E1", 2)], [])) == (1,)
 
 
 def test_fundamental_cycle_requires_negative_definite():
     center = [("c", 2)] + [(f"l{k}", 2) for k in range(5)]
-    star = make_graph(center, [("c", f"l{k}") for k in range(5)])
+    star = WeightedDualGraph(center, [("c", f"l{k}") for k in range(5)])
     with pytest.raises(NotNegativeDefinite):
         fundamental_cycle(star)
 
@@ -102,7 +102,7 @@ def test_ray_basis_a2():
 
 
 def test_ray_basis_single_vertex():
-    rays = ray_basis(make_graph([("E1", 2)], []))
+    rays = ray_basis(WeightedDualGraph([("E1", 2)], []))
     assert (rays.det, rays.columns) == (2, ((1,),))
 
 
@@ -213,7 +213,7 @@ def test_non_rational_graph():
     weights = [3, 2, 3, 3, 3, 2, 2, 2]
     edges = [(0, 1), (0, 4), (0, 6), (2, 6), (3, 6), (5, 6), (5, 7)]
     ids = [f"v{k}" for k in range(8)]
-    g = make_graph(
+    g = WeightedDualGraph(
         list(zip(ids, weights)), [(ids[i], ids[j]) for i, j in edges]
     )
     from nasharcs.graph import graph_is_negative_definite

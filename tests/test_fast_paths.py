@@ -19,7 +19,6 @@ from nasharcs.generators import an_graph
 from nasharcs.graph import (
     WeightedDualGraph,
     graph_is_negative_definite,
-    make_graph,
     rooted,
     serialize_graph,
     tree_determinants,
@@ -43,7 +42,7 @@ def _star(hub_first: bool, leaves: int, hub_weight: int = 2):
     hub = [("hub", hub_weight)]
     rim = [(f"l{k}", 2) for k in range(leaves)]
     vertices = hub + rim if hub_first else rim + hub
-    return make_graph(vertices, [("hub", f"l{k}") for k in range(leaves)])
+    return WeightedDualGraph(vertices, [("hub", f"l{k}") for k in range(leaves)])
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +197,7 @@ def _reference_decomposition(g, x, y):
         for k in range(count):
             vertices.append((f"{g.ids[v]}+{k + 1}", 1))
             edges.append((g.ids[v], f"{g.ids[v]}+{k + 1}"))
-    sg = make_graph(vertices, edges, auxiliary=True)
+    sg = WeightedDualGraph(vertices, edges, auxiliary=True)
     pieces = tuple(
         tuple(sg.ids[u] for u in sg.path(sg.index_of(g.ids[z1]), sg.index_of(vid)))
         for vid, w in vertices
@@ -238,8 +237,8 @@ def test_one_contraction_per_starting_leaf(minimal_corpus, monkeypatch):
 
     monkeypatch.setattr(classify, "contracts_to_empty", counting)
     for g in minimal_corpus[:10] + [an_graph(7)]:
-        fresh = make_graph(list(zip(g.ids, g.weights)),
-                           [(g.ids[i], g.ids[j]) for i, j in g.edges])
+        fresh = WeightedDualGraph(list(zip(g.ids, g.weights)),
+                                  [(g.ids[i], g.ids[j]) for i, j in g.edges])
         calls.clear()
         certify_minimal(fresh)
         assert 0 < len(calls) <= sum(len(a) <= 1 for a in fresh.adj)
@@ -264,16 +263,15 @@ def test_memo_is_per_instance_and_outside_equality():
     ray_basis(a)
     assert a._memo and not b._memo
     assert a == b and hash(a) == hash(b)
-    # adjacency and the id index are built with the graph, outside equality
+    # adjacency and the id index are built with the graph, outside equality;
+    # neither the edges' order nor their orientation matters
     vertices = [("b", 2), ("a", 3), ("c", 2), ("d", 2)]
-    direct = WeightedDualGraph(
-        ids=("b", "a", "c", "d"),
-        weights=(2, 3, 2, 2),
-        edges=frozenset({(0, 1), (1, 2), (1, 3)}),
-    )
-    built = make_graph(vertices, [("d", "a"), ("a", "b"), ("c", "a")])
+    direct = WeightedDualGraph(vertices, [("b", "a"), ("a", "c"), ("a", "d")])
+    built = WeightedDualGraph(iter(vertices), iter([("d", "a"), ("a", "b"), ("c", "a")]))
     for g in (direct, built):
         assert not g._memo
+        assert g.ids == ("b", "a", "c", "d") and g.weights == (2, 3, 2, 2)
+        assert g.edges == frozenset({(0, 1), (1, 2), (1, 3)})
         assert g.adj == ((1,), (0, 2, 3), (1,), (1,))
         assert g.index == {"b": 0, "a": 1, "c": 2, "d": 3}
     assert direct == built and hash(direct) == hash(built)

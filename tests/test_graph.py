@@ -11,8 +11,8 @@ from nasharcs.cycles import ray_basis
 from nasharcs.errors import BadWeight, MalformedDocument, NotATree
 from nasharcs.generators import an_graph
 from nasharcs.graph import (
+    WeightedDualGraph,
     graph_is_negative_definite,
-    make_graph,
     parse_graph,
     serialize_graph,
     tree_determinants,
@@ -152,7 +152,7 @@ def test_intersection_matrix_a2():
 
 
 def test_intersection_matrix_single_vertex():
-    g = make_graph([("E1", 2)], [])
+    g = WeightedDualGraph([("E1", 2)], [])
     assert intersection_rows(g) == [[-2]]
 
 
@@ -180,14 +180,14 @@ def test_negative_definite_a2():
 def test_negative_definite_scalars():
     assert negative_definite_by_sylvester([[-1]])
     assert not negative_definite_by_sylvester([[0]])
-    assert graph_is_negative_definite(make_graph([("E1", 1)], [], auxiliary=True))
-    assert tree_determinants(make_graph([("E1", 1)], [], auxiliary=True), 0) == ([1], [1])
+    assert graph_is_negative_definite(WeightedDualGraph([("E1", 1)], [], auxiliary=True))
+    assert tree_determinants(WeightedDualGraph([("E1", 1)], [], auxiliary=True), 0) == ([1], [1])
 
 
 def test_star_not_negative_definite():
     # weight-2 star with 5 leaves: (-M) has a nonpositive minor
     center = [("c", 2)] + [(f"l{k}", 2) for k in range(5)]
-    g = make_graph(center, [("c", f"l{k}") for k in range(5)])
+    g = WeightedDualGraph(center, [("c", f"l{k}") for k in range(5)])
     assert not graph_is_negative_definite(g)
     assert all(tree_determinants(g, root) is None for root in range(g.n))
     assert not negative_definite_by_minors(intersection_rows(g))

@@ -7,7 +7,7 @@ import pytest
 from nasharcs.cycles import integer_rays, is_anti_nef, ray_basis
 from nasharcs.errors import SameVertex
 from nasharcs.generators import an_graph
-from nasharcs.graph import make_graph, serialize_graph
+from nasharcs.graph import WeightedDualGraph, serialize_graph
 from nasharcs.order import (
     Verdict,
     an_relation,
@@ -83,7 +83,7 @@ def test_two_vertex_weights_2_3_incomparable():
     # exact inversion gives ray columns (3/5, 1/5) and (1/5, 2/5); each
     # column separates the pair in one direction, so neither closure
     # contains the other
-    g = make_graph([("E1", 2), ("E2", 3)], [("E1", "E2")])
+    g = WeightedDualGraph([("E1", 2), ("E2", 3)], [("E1", "E2")])
     rel = relation_matrix(g).get(0, 1)
     assert rel.verdict is Verdict.INCOMPARABLE
     assert rel.witness_ij == (1, 2)
@@ -222,8 +222,8 @@ def test_serialized_arrays_are_lazy_and_reiterable():
     # E6 with ids that sort opposite to the vertex order
     name = {f"v{k}": chr(ord("g") - k) for k in range(1, 7)}
     doc = serialize_graph(e6_graph())
-    g = make_graph([(name[v["id"]], v["w"]) for v in doc["vertices"]],
-                   [(name[a], name[b]) for a, b in doc["edges"]])
+    g = WeightedDualGraph([(name[v["id"]], v["w"]) for v in doc["vertices"]],
+                          [(name[a], name[b]) for a, b in doc["edges"]])
     rm = relation_matrix(g)
     assert rm.open_pairs()
     doc = serialize_relation_matrix(rm)
@@ -262,7 +262,7 @@ def test_hasse_export_plain_ids_unchanged():
 def test_hasse_export_escapes_quotes_and_backslashes():
     doc = serialize_graph(e6_graph())
     rename = {"v1": 'v"1', "v2": "v2\\", "v5": 'say "hi"\\n'}
-    g = make_graph(
+    g = WeightedDualGraph(
         [(rename.get(v["id"], v["id"]), v["w"]) for v in doc["vertices"]],
         [(rename.get(a, a), rename.get(b, b)) for a, b in doc["edges"]],
     )
