@@ -10,6 +10,7 @@ denominator; randomness is fully seeded.
 from __future__ import annotations
 
 import random
+from math import gcd
 from typing import Any, NamedTuple, Sequence
 
 from .errors import BadFamilyIndex, BadParameter, SameVertex, TruncationTooSmall
@@ -68,7 +69,7 @@ class TruncatedArc(NamedTuple):
 
     x, y and z hold the numerators of the coefficients of t^0..t^trunc;
     with den = (dx, dy, dz), the coefficient of t^k in x is x[k] / dx,
-    and likewise for y and z.
+    and likewise for y and z.  y and dy have no common factor.
     """
 
     n: int
@@ -128,15 +129,19 @@ def sample_arc(n: int, i: int, trunc: int, seed: Any) -> TruncatedArc:
                 acc -= u[j] * q[k - j] * u0_pow[j - 1]
         q.append(acc)
     # over the one denominator u0^(trunc+1) S^n, the numerator of t^k is
-    # q[k] u0^(trunc-k)
+    # q[k] u0^(trunc-k); their common factor is divided out, since most
+    # draws share a factor with u0 and the residual multiplies by dy
+    y = [c * u0_pow[trunc - k] for k, c in enumerate(q)]
+    dy = u0_pow[trunc + 1] * _SCALE**n
+    g = gcd(dy, *y)
     return TruncatedArc(
         n=n,
         family=i,
         trunc=trunc,
         x=tuple(x[: trunc + 1]),
-        y=tuple(c * u0_pow[trunc - k] for k, c in enumerate(q)),
+        y=tuple(c // g for c in y),
         z=tuple(z[: trunc + 1]),
-        den=(_SCALE, u0_pow[trunc + 1] * _SCALE**n, _SCALE),
+        den=(_SCALE, dy // g, _SCALE),
     )
 
 

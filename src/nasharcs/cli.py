@@ -188,10 +188,9 @@ def _emit(document: dict[str, Any], out: str | None) -> None:
             raise
 
 
-def _write_dot(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_dot(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _header(**extra: Any) -> dict[str, Any]:
@@ -227,7 +226,8 @@ def _order_report(g: WeightedDualGraph, args: argparse.Namespace) -> int:
     rm = relation_matrix(g)
     doc = {"header": _header(), "graph": serialize_graph(g)}
     doc.update(serialize_relation_matrix(rm))
-    _write_dot(hasse_export(rm), args.dot)
+    if args.dot:  # before the report, and the diagram is built only when asked for
+        _write_dot(hasse_export(rm), args.dot)
     _emit(doc, args.out)
     return 1 if rm.open_pairs() else 0
 
@@ -250,7 +250,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     cert = decompose_minimal(g, args.x, args.y)
     doc = {"header": _header()}
     doc.update(serialize_decomposition(cert))
-    _write_dot(supergraph_dot(cert), args.dot)
+    if args.dot:
+        _write_dot(supergraph_dot(cert), args.dot)
     _emit(doc, args.out)
     return 0
 

@@ -51,6 +51,26 @@ def test_order_dot_output(a3_file, tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("argv, golden, expected", [
+    (["order", str(GOLDEN / "e6.graph.json")], "e6.order.json", 1),
+    (["an-order", "--n", "6"], "an-order/n6.json", 0),
+    (["decompose", str(GOLDEN / "minimal_0.graph.json"), "--x", "v1", "--y", "v6"],
+     "minimal_0.decompose.json", 0),
+], ids=["order", "an-order", "decompose"])
+def test_dot_text_is_built_only_for_dot(argv, golden, expected, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("DOT text built without --dot")
+
+    monkeypatch.setattr(cli, "hasse_export", refuse)
+    monkeypatch.setattr(cli, "supergraph_dot", refuse)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == expected
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_certify_minimal_e6_rejected(e6_file, tmp_path, capsys):
     code, _ = run_json(["certify-minimal", e6_file], tmp_path)
     assert code == 2
