@@ -1,0 +1,221 @@
+"""Contract fuzzer for graph documents.
+
+Each golden `*.graph.json` is mutated by a seeded stdlib mutator: fields
+dropped, repeated or retyped; self-loops, duplicate edges, cycles and
+disconnected parts; `+k` ids and lone surrogates; zero, negative and huge
+weights; bool, float and null values; deep nesting, cut text and bytes that
+are not UTF-8.  Every mutated file goes in-process through `cli.main` for
+`analyze`, `order`, `certify-minimal` and `decompose` (through the first two
+ids), with `--out`, and with `--dot` where a command has it.  Whatever the
+document, no exception escapes and the exit code is 0, 1 or 2; exit 2 prints
+exactly one `error:` line and writes no file, and exit 0 or 1 writes a JSON
+report with a "header" (and a DOT file, if asked for).
+"""
+from __future__ import annotations
+
+import copy
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from nasharcs.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GRAPHS = sorted(GOLDEN.glob("*.graph.json"))
+DOCUMENTS_PER_GRAPH = 30
+
+ODD_VALUES = [None, True, False, 0, -1, 1, 2.0, 2.5, "2", "", [], {}, [2], {"id": "a"},
+              10**40, -10**40]
+# JSON text put in place of a value, after the document is encoded
+RAW_VALUES = ["9" * 5000, "1e400", "NaN", "-Infinity", "-0", "[" * 100 + "]" * 100,
+              "[" * 100_000 + "]" * 100_000, '{"a":' * 50_000 + "1" + "}" * 50_000]
+
+
+def _raw(rng: random.Random) -> str:
+    """A placeholder string that `_encode` replaces with raw JSON text."""
+    return f"\x00raw{rng.randrange(len(RAW_VALUES))}\x00"
+
+
+def _encode(doc) -> str:
+    text = json.dumps(doc)
+    for k, raw in enumerate(RAW_VALUES):
+        text = text.replace(json.dumps(f"\x00raw{k}\x00"), raw)
+    return text
+
+
+def _vertices(doc) -> list:
+    v = doc.get("vertices")
+    return v if isinstance(v, list) and v else [{"id": "a", "w": 2}]
+
+
+def _edges(doc) -> list:
+    e = doc.get("edges")
+    if not isinstance(e, list):
+        e = doc["edges"] = []
+    return e
+
+
+def _id(doc, rng):
+    vertex = rng.choice(_vertices(doc))
+    return vertex.get("id", "a") if isinstance(vertex, dict) else "a"
+
+
+def _rename(doc, rng, new_id) -> None:
+    """Give one vertex the id `new_id`, in its entry and in every edge."""
+    vertex = rng.choice(_vertices(doc))
+    if not isinstance(vertex, dict):
+        return
+    old = vertex.get("id")
+    vertex["id"] = new_id
+    for e in _edges(doc):
+        if isinstance(e, list):
+            e[:] = [new_id if end == old else end for end in e]
+
+
+def drop_field(doc, rng):
+    holders = [doc, *(v for v in _vertices(doc) if isinstance(v, dict))]
+    holder = rng.choice(holders)
+    if holder:
+        del holder[rng.choice(sorted(holder))]
+    elif _edges(doc):
+        del _edges(doc)[rng.randrange(len(_edges(doc)))]
+
+
+def repeat_entry(doc, rng):
+    entries = rng.choice([_vertices(doc), _edges(doc) or _vertices(doc)])
+    entries.insert(rng.randrange(len(entries) + 1), copy.deepcopy(rng.choice(entries)))
+
+
+def retype(doc, rng):
+    value = rng.choice(ODD_VALUES) if rng.random() < 0.8 else _raw(rng)
+    where = rng.randrange(5)
+    vertex = rng.choice(_vertices(doc))
+    if where == 0:
+        doc[rng.choice(["vertices", "edges", "auxiliary"])] = value
+    elif where in (1, 2) and isinstance(vertex, dict):
+        vertex["w" if where == 1 else "id"] = value
+    elif where == 3 and _edges(doc):
+        _edges(doc)[rng.randrange(len(_edges(doc)))] = value
+    elif _edges(doc) and isinstance(_edges(doc)[0], list) and _edges(doc)[0]:
+        _edges(doc)[0][rng.randrange(len(_edges(doc)[0]))] = value
+
+
+def self_loop(doc, rng):
+    a = _id(doc, rng)
+    _edges(doc).append([a, a])
+
+
+def duplicate_edge(doc, rng):
+    edges = _edges(doc)
+    edge = rng.choice(edges) if edges else None
+    if isinstance(edge, list):
+        edges.append(edge[::-1])
+
+
+def add_edge(doc, rng):
+    # between two vertices already joined by a path, this closes a cycle
+    _edges(doc).append([_id(doc, rng), _id(doc, rng)])
+
+
+def disconnect(doc, rng):
+    if rng.random() < 0.5 and _edges(doc):
+        del _edges(doc)[rng.randrange(len(_edges(doc)))]
+    else:
+        _vertices(doc).append({"id": f"iso{rng.randrange(3)}", "w": rng.choice([1, 2, 3])})
+
+
+def plus_id(doc, rng):
+    # the ids the leaf embedding gives attached vertices
+    _rename(doc, rng, f"{_id(doc, rng)}+{rng.choice([1, 2, 3])}")
+
+
+def lone_surrogate(doc, rng):
+    _rename(doc, rng, rng.choice(["\ud800", "\udfff", "a\udc80b"]))
+
+
+def weight(doc, rng):
+    vertex = rng.choice(_vertices(doc))
+    if isinstance(vertex, dict):
+        vertex["w"] = rng.choice([0, -1, -2, 1, 10**30, 2**64, 10**300, _raw(rng)])
+    if rng.random() < 0.3:
+        doc["auxiliary"] = True
+
+
+def grow(doc, rng):
+    # a new leaf keeps the document a tree; its id is one an attached vertex takes
+    u = _id(doc, rng)
+    _vertices(doc).append({"id": f"{u}+1", "w": rng.choice([1, 2, 3, 4, 7])})
+    _edges(doc).append([u, f"{u}+1"] if rng.random() < 0.5 else [f"{u}+1", u])
+
+
+def reweigh(doc, rng):
+    vertex = rng.choice(_vertices(doc))
+    if isinstance(vertex, dict) and isinstance(vertex.get("w"), int):
+        vertex["w"] += rng.choice([-1, 1, 2, 5])
+
+
+def nest(doc, rng):
+    doc[rng.choice(["vertices", "edges", "extra"])] = _raw(rng)
+
+
+MUTATORS = [drop_field, repeat_entry, retype, self_loop, duplicate_edge, add_edge,
+            disconnect, plus_id, lone_surrogate, weight, nest]
+# mutations that can leave a valid graph, so the commands run past parsing
+KEEPERS = [grow, reweigh, plus_id]
+
+
+def _mutated(original, rng: random.Random) -> bytes:
+    doc = copy.deepcopy(original)
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        rng.choice(KEEPERS if rng.random() < 0.4 else MUTATORS)(doc, rng)
+    data = _encode(doc).encode("utf-8")
+    cut = rng.random()
+    if cut < 0.05:
+        data = data[: rng.randrange(len(data))]
+    elif cut < 0.1:
+        k = rng.randrange(len(data))
+        data = data[:k] + b"\xff" + data[k + 1 :]
+    return data
+
+
+def _first_two_ids(data: bytes) -> list[str]:
+    try:
+        vertices = json.loads(data)["vertices"]
+        ids = [str(v["id"]) for v in vertices[:2]]
+    except Exception:
+        ids = []
+    return (ids + ["a", "b"])[:2]
+
+
+@pytest.mark.parametrize("path", GRAPHS, ids=[p.name.split(".")[0] for p in GRAPHS])
+def test_graph_commands_keep_the_exit_contract(path, tmp_path, capsys):
+    original = json.loads(path.read_text())
+    rng = random.Random(f"contract-fuzz {path.name}")
+    graph, out, dot = tmp_path / "g.json", tmp_path / "report.json", tmp_path / "report.dot"
+    for _ in range(DOCUMENTS_PER_GRAPH):
+        data = _mutated(original, rng)
+        graph.write_bytes(data)
+        x, y = _first_two_ids(data)
+        for argv in (["analyze"], ["order", f"--dot={dot}"], ["certify-minimal"],
+                     ["decompose", f"--x={x}", f"--y={y}", f"--dot={dot}"]):
+            argv = [argv[0], str(graph), *argv[1:], f"--out={out}"]
+            try:
+                code = main(argv)
+            except BaseException as exc:  # any escape breaks the contract
+                pytest.fail(f"{argv[0]} raised {exc!r} on {data[:300]!r}")
+            captured = capsys.readouterr()
+            context = f"{argv[0]} exited {code} on {data[:300]!r}: {captured.err[:300]!r}"
+            assert code in (0, 1, 2), context
+            assert captured.out == "", context
+            if code == 2:
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), context
+                assert not out.exists() and not dot.exists(), context
+            else:
+                assert "header" in json.loads(out.read_text(encoding="utf-8")), context
+                out.unlink()
+                if argv[0] in ("order", "decompose"):
+                    assert dot.read_text(encoding="utf-8").split()[0] in ("graph", "digraph"), context
+                    dot.unlink()
