@@ -209,6 +209,12 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     at j (Lipman 1969), so the order criterion proves every ordered pair
     on g as well, and each pair's evidence carries its order witness; a
     pair without one raises `InconsistentRelation`.
+
+    The bamboo evidence of `(alpha, beta)`, that is `bamboo`,
+    `positions`, `designated_piece`, `witness_ij` and `witness_ji`, is
+    that of the decomposition through the two vertices in vertex-index
+    order, so `(alpha, beta)` and `(beta, alpha)` carry the same values.
+    Only `order_witness` is oriented: lower at alpha than at beta.
     """
     if not is_minimal(g):
         raise NotMinimal("certification requires a minimal graph")

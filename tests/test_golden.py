@@ -97,6 +97,31 @@ def test_cli_reproduces_golden(name, command, tmp_path):
         assert_same(dot.read_bytes(), (GOLDEN / f"{name}.{command}.dot").read_bytes())
 
 
+@pytest.mark.parametrize("name", _MINIMAL)
+def test_certificate_evidence_orientation(name):
+    """In a certificate pair, `positions`, `witness_ij` and `witness_ji`
+    (like the bamboo and its piece) belong to the unordered pair, taken in
+    vertex-index order: (a, b) and (b, a) carry the same values.  Only
+    `order_witness` is oriented, lower at alpha than at beta."""
+    doc = json.loads((GOLDEN / f"{name}.certify-minimal.json").read_text())
+    ids = [v["id"] for v in doc["graph"]["vertices"]]
+    index = {vid: k for k, vid in enumerate(ids)}
+    pairs = {(p["alpha"], p["beta"]): p["evidence"] for p in doc["pairs"]}
+    assert len(pairs) == len(ids) * (len(ids) - 1)
+    for (alpha, beta), evidence in pairs.items():
+        first, second = sorted((alpha, beta), key=index.__getitem__)
+        unordered = {k: v for k, v in evidence.items() if k != "order_witness"}
+        mirror = pairs[(beta, alpha)]
+        assert unordered == {k: v for k, v in mirror.items() if k != "order_witness"}
+        pi, pj = evidence["positions"]
+        assert pi < pj
+        assert (evidence["bamboo"][pi - 1], evidence["bamboo"][pj - 1]) == (first, second)
+        assert evidence["witness_ij"][pi - 1] < evidence["witness_ij"][pj - 1]
+        assert evidence["witness_ji"][pi - 1] > evidence["witness_ji"][pj - 1]
+        witness = evidence["order_witness"]
+        assert witness[index[alpha]] < witness[index[beta]]
+
+
 def test_an_order_reproduces_golden(tmp_path):
     out, dot = tmp_path / "out.json", tmp_path / "out.dot"
     assert main(["an-order", "--n", "6", "--dot", str(dot), "--out", str(out)]) == 0
