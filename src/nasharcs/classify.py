@@ -9,9 +9,9 @@ the bamboo's A_m quotient once the supergraph is checked to blow down.
 """
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
-from .cycles import fundamental_cycle, is_rational
+from .cycles import Cycle, fundamental_cycle, is_rational
 from .errors import BadWeight, InconsistentRelation, NotMinimal, SameVertex
 from .graph import (
     WeightedDualGraph,
@@ -20,7 +20,7 @@ from .graph import (
     graph_is_negative_definite,
     serialize_graph,
 )
-from .order import an_relation, relation_matrix
+from .order import LazyArray, an_relation, relation_matrix
 
 # most weight-1 vertices a bamboo decomposition may attach, counted as the
 # sum of weight minus valence: the supergraph, its blow-down and the
@@ -192,11 +192,52 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
     )
 
 
+class BambooEvidence(NamedTuple):
+    """What a decomposition through two vertices proves their pair with:
+    its own tuples, shared by both orders of the pair and copied nowhere."""
+
+    bamboo: tuple[str, ...]
+    positions: tuple[int, int]
+    piece: tuple[str, ...]  # the designated piece, as held by the leaf embedding
+
+
 class Certificate(NamedTuple):
-    """Per-ordered-pair proof record that closure(N_alpha) is not in closure(N_beta)."""
+    """Proof that closure(N_alpha) is not in closure(N_beta), for every
+    ordered pair of a minimal graph.
+
+    `bamboos[i][j - i - 1]` is the bamboo evidence of the vertices i < j,
+    and ray column `rays[b]` is the order witness of every pair (a, b).
+    Each pair's evidence dict is made when it is asked for.
+    """
 
     graph: WeightedDualGraph
-    entries: dict[tuple[str, str], dict[str, Any]]  # evidence, keyed by (alpha, beta)
+    rays: tuple[Cycle, ...]
+    bamboos: tuple[tuple[BambooEvidence, ...], ...]
+
+    def pairs(self) -> Iterator[tuple[str, str]]:
+        """Every ordered pair (alpha, beta) of vertex ids, in sorted order."""
+        ids = sorted(self.graph.ids)
+        return ((a, b) for a in ids for b in ids if a != b)
+
+    def evidence(self, alpha: str, beta: str) -> dict[str, Any]:
+        a, b = self.graph.index[alpha], self.graph.index[beta]
+        if a == b:
+            raise SameVertex("a certificate proves pairs of distinct vertices")
+        lo, hi = (a, b) if a < b else (b, a)
+        ev = self.bamboos[lo][hi - lo - 1]
+        m = len(ev.bamboo)
+        px, py = ev.positions
+        rel = an_relation(m, px - 1, py - 1)
+        return {
+            "bamboo": ev.bamboo,
+            "quotient": f"A_{m}",
+            "positions": ev.positions,
+            "designated_piece": ev.piece,
+            "supergraph_contracts": True,
+            "witness_ij": rel.witness_ij,
+            "witness_ji": rel.witness_ji,
+            "order_witness": self.rays[b],
+        }
 
 
 def certify_minimal(g: WeightedDualGraph) -> Certificate:
@@ -208,7 +249,8 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     checked.  On a minimal graph column j of the ray basis peaks strictly
     at j (Lipman 1969), so the order criterion proves every ordered pair
     on g as well, and each pair's evidence carries its order witness; a
-    pair without one raises `InconsistentRelation`.
+    pair without one raises `InconsistentRelation`.  Every check runs
+    here, before anything is written, so a failure leaves no report.
 
     The bamboo evidence of `(alpha, beta)`, that is `bamboo`,
     `positions`, `designated_piece`, `witness_ij` and `witness_ji`, is
@@ -219,51 +261,42 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     if not is_minimal(g):
         raise NotMinimal("certification requires a minimal graph")
     rm = relation_matrix(g)
-    entries: dict[tuple[str, str], dict[str, Any]] = {}
+    bamboos = []
     for xi in range(g.n):
+        row = []
         for yi in range(xi + 1, g.n):
             x, y = g.ids[xi], g.ids[yi]
             cert = decompose_minimal(g, x, y)
             if not cert.contraction.empty:
                 raise InconsistentRelation(f"supergraph for {x!r}, {y!r} does not blow down")
-            px, py = cert.positions
-            rel = an_relation(cert.m, px - 1, py - 1)
-            evidence = {
-                "bamboo": list(cert.bamboo),
-                "quotient": f"A_{cert.m}",
-                "positions": list(cert.positions),
-                "designated_piece": list(cert.pieces[cert.designated]),
-                "supergraph_contracts": cert.contraction.empty,
-                "witness_ij": rel.witness_ij,
-                "witness_ji": rel.witness_ji,
-            }
-            for a, b in ((xi, yi), (yi, xi)):
-                witness = rm.get(a, b).witness_ij
+            rel = rm.get(xi, yi)
+            for below, above, witness in ((x, y, rel.witness_ij), (y, x, rel.witness_ji)):
                 if witness is None:
-                    raise InconsistentRelation(
-                        f"no order witness for {g.ids[a]!r} below {g.ids[b]!r}"
-                    )
-                entries[(g.ids[a], g.ids[b])] = {**evidence, "order_witness": witness}
-    return Certificate(graph=g, entries=entries)
+                    raise InconsistentRelation(f"no order witness for {below!r} below {above!r}")
+            row.append(BambooEvidence(cert.bamboo, cert.positions, cert.pieces[cert.designated]))
+        bamboos.append(tuple(row))
+    return Certificate(graph=g, rays=rm.rays, bamboos=tuple(bamboos))
 
 
 def serialize_certificate(c: Certificate) -> dict[str, Any]:
+    """The certificate's report; "pairs" is a lazy array, each pair made
+    from the shared records while it is written."""
     # certify_minimal proves every pair by both rules or raises, so each
     # pair is "Proven" and none is open; the report keeps both fields
     return {
         "graph": serialize_graph(c.graph),
         "restriction": "order relation computed over a negative-definite graph",
         "fundamental_cycle": list(fundamental_cycle(c.graph)),
-        "pairs": [
+        "pairs": LazyArray(lambda: (
             {
                 "alpha": alpha,
                 "beta": beta,
                 "status": "Proven",
                 "rules": ["Propagation", "OrderCriterion"],
-                "evidence": evidence,
+                "evidence": c.evidence(alpha, beta),
             }
-            for (alpha, beta), evidence in sorted(c.entries.items())
-        ],
+            for alpha, beta in c.pairs()
+        )),
         "open_pairs": [],
     }
 

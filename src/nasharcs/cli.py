@@ -41,6 +41,10 @@ from .order import LazyArray, hasse_export, relation_matrix, serialize_relation_
 # linearly (at n=3, one arc of 2000 terms takes about 8 times one of 1000)
 MAX_TRUNC = 1024
 
+# most arcs `an-arcs` will sample; each costs about 0.7 ms at the default
+# truncation of n = 12, so a run at the cap takes about a minute
+MAX_SAMPLES = 100_000
+
 # most vertices `analyze`, `order`, `certify-minimal` and `an-order` take: the
 # pairs are decided in n^2 steps, but a report holds n (n - 1) pairs of n-entry
 # witnesses, so output and writing time grow as n^3 (58 MB for `an-order` at 128)
@@ -260,6 +264,8 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
     n, i = args.n, args.family
     if args.samples < 1:
         raise BadParameter(f"--samples {args.samples} must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise BadParameter(f"--samples {args.samples} is above the cap {MAX_SAMPLES}")
     trunc = 4 * (n + 1) if args.trunc is None else args.trunc
     if trunc > MAX_TRUNC:
         raise BadParameter(f"truncation {trunc} is above the cap {MAX_TRUNC}")
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", type=int, required=True)
     p.add_argument("--against", type=int, help="run the separation check vs this family")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=20, help=f"at most {MAX_SAMPLES}")
     p.add_argument("--trunc", type=int,
                    help=f"series truncation order, at most {MAX_TRUNC} (default 4*(n+1))")
     p.add_argument("--seed", type=int, default=0)

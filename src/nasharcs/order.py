@@ -18,6 +18,7 @@ diagonal).  Each relation is read off two columns when it is asked for.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .cycles import Cycle, integer_rays, is_anti_nef
@@ -153,13 +154,20 @@ def an_relation(m: int, i: int, j: int) -> NashRelation:
 
     The order vectors of the two coordinate functions on z^(m+1) = x y
     are (1, 2, ..., m) and (m, ..., 2, 1); each separates any pair in one
-    direction, so every pair is incomparable.  Indices are 0-based.
+    direction, so every pair is incomparable.  Indices are 0-based, and
+    each m has one pair of tuples.
     """
     if i == j:
         raise SameVertex("cannot relate a divisor to itself")
-    up = tuple(range(1, m + 1))
-    down = tuple(range(m, 0, -1))
+    up, down = _an_orders(m)
     return NashRelation(up, down) if i < j else NashRelation(down, up)
+
+
+@lru_cache(maxsize=None)
+def _an_orders(m: int) -> tuple[Cycle, Cycle]:
+    """The two order vectors of A_m, made once per m, so that every pair
+    pulled back to A_m cites the same two tuples."""
+    return tuple(range(1, m + 1)), tuple(range(m, 0, -1))
 
 
 class LazyArray:

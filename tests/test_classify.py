@@ -20,7 +20,7 @@ from nasharcs.cli import main
 from nasharcs.errors import InconsistentRelation, NotMinimal, SameVertex
 from nasharcs.generators import an_graph
 from nasharcs.graph import WeightedDualGraph, parse_graph, serialize_graph
-from nasharcs.order import NashRelation, RelationMatrix, relation_matrix
+from nasharcs.order import LazyArray, NashRelation, RelationMatrix, an_relation, relation_matrix
 
 from builders import e6_graph
 from oracles import dot_ids, exhaustive_contraction_orders, graph_state
@@ -207,7 +207,7 @@ def _both_rules(cert) -> bool:
     rm = relation_matrix(g)
     return all(
         p["rules"] == ["Propagation", "OrderCriterion"]
-        and p["evidence"] == cert.entries[p["alpha"], p["beta"]]
+        and p["evidence"] == cert.evidence(p["alpha"], p["beta"])
         and p["evidence"]["order_witness"]
         == rm.get(g.index[p["alpha"]], g.index[p["beta"]]).witness_ij
         for p in serialize_certificate(cert)["pairs"]
@@ -224,7 +224,9 @@ def test_certify_bamboo(n):
 
 def test_certify_bamboo_322():
     cert = certify_minimal(bamboo_322())
-    assert len(cert.entries) == 6
+    assert len(list(cert.pairs())) == 6
+    with pytest.raises(SameVertex):
+        cert.evidence("v1", "v1")
     assert _all_proven(cert)
     assert _both_rules(cert)
 
@@ -277,7 +279,7 @@ def test_certify_corpus_no_open_pairs(minimal_corpus):
     for g in minimal_corpus[:15]:
         cert = certify_minimal(g)
         assert _all_proven(cert)
-        assert len(cert.entries) == g.n * (g.n - 1)
+        assert len(list(cert.pairs())) == g.n * (g.n - 1)
 
 
 def test_order_criterion_subset_of_propagation(minimal_corpus):
@@ -287,14 +289,37 @@ def test_order_criterion_subset_of_propagation(minimal_corpus):
         cert = certify_minimal(g)
         assert _all_proven(cert)
         direct = relation_matrix(g).non_inclusions()
-        assert {(g.ids[a], g.ids[b]) for a, b in direct} == set(cert.entries)
+        assert {(g.ids[a], g.ids[b]) for a, b in direct} == set(cert.pairs())
         assert _both_rules(cert)
+
+
+def test_certificate_pairs_are_lazy_reiterable_and_sorted(minimal_corpus):
+    # the report's pairs are made afresh on each pass, in (alpha, beta) id
+    # order; both orders of a pair share their bamboo evidence
+    for g in minimal_corpus:
+        pairs = serialize_certificate(certify_minimal(g))["pairs"]
+        assert isinstance(pairs, LazyArray)
+        first = list(pairs)
+        assert first == list(pairs)
+        keys = [(p["alpha"], p["beta"]) for p in first]
+        assert len(keys) == g.n * (g.n - 1) and keys == sorted(set(keys))
+        evidence = {key: p["evidence"] for key, p in zip(keys, first)}
+        for (alpha, beta), ev in evidence.items():
+            other = dict(evidence[beta, alpha])
+            witness = other.pop("order_witness")
+            assert {**other, "order_witness": ev["order_witness"]} == ev
+            a, b = g.index[alpha], g.index[beta]
+            assert ev["order_witness"][a] < ev["order_witness"][b]
+            assert witness[b] < witness[a]
+            # every pair pulled back to A_m cites the same two tuples
+            up, down = an_relation(len(ev["bamboo"]), 0, 1)
+            assert ev["witness_ij"] is up and ev["witness_ji"] is down
 
 
 def test_certificate_serialization():
     doc = serialize_certificate(certify_minimal(an_graph(3)))
     assert doc["open_pairs"] == []
-    assert len(doc["pairs"]) == 6
+    assert len(list(doc["pairs"])) == 6
     assert all(p["status"] == "Proven" for p in doc["pairs"])
     assert doc["fundamental_cycle"] == [1, 1, 1]
 

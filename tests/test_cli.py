@@ -166,7 +166,7 @@ def test_an_arcs_separation(tmp_path):
     assert doc["separation"]["passed"] is True
 
 
-@pytest.mark.parametrize("samples", ["-4", "0"])
+@pytest.mark.parametrize("samples", ["-4", "0", "100001"])
 @pytest.mark.parametrize("against", [[], ["--against", "2"]])
 def test_an_arcs_bad_sample_count_is_usage_error(samples, against, tmp_path, capsys):
     out = tmp_path / "o.json"

@@ -10,12 +10,21 @@ ids), with `--out`, and with `--dot` where a command has it.  Whatever the
 document, no exception escapes and the exit code is 0, 1 or 2; exit 2 prints
 exactly one `error:` line and writes no file, and exit 0 or 1 writes a JSON
 report with a "header" (and a DOT file, if asked for).
+
+The argv of every command is mutated too, in-process, on a golden graph:
+flags and arguments dropped, repeated or unknown; values that are not
+integers, or far out of range, for `--n`, `--family`, `--against`,
+`--samples`, `--trunc` and `--seed`; unknown `--x` and `--y` ids.  The same
+contract holds, except that an argparse usage error prints its usage
+lines before the one `error:` line.
 """
 from __future__ import annotations
 
 import copy
+import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,3 +228,125 @@ def test_graph_commands_keep_the_exit_contract(path, tmp_path, capsys):
                 if argv[0] in ("order", "decompose"):
                     assert dot.read_text(encoding="utf-8").split()[0] in ("graph", "digraph"), context
                     dot.unlink()
+
+
+# argv of each command on dn6_minimal, valid as it stands; "{g}" and "{dot}"
+# stand for the graph and a DOT path
+COMMANDS = {
+    "analyze": ["{g}"],
+    "order": ["{g}", "--dot", "{dot}"],
+    "certify-minimal": ["{g}"],
+    "decompose": ["{g}", "--x", "v1", "--y", "v6", "--dot", "{dot}"],
+    "an-arcs": ["--n", "4", "--family", "2", "--against", "3", "--samples", "2",
+                "--trunc", "12", "--seed", "5"],
+    "an-order": ["--n", "5", "--dot", "{dot}"],
+}
+ARGVS_PER_COMMAND = 300
+INT_FLAGS = ["--n", "--family", "--against", "--samples", "--trunc", "--seed"]
+NOT_INTS = ["", "x", "1.5", "1e3", "0x10", "--", "9" * 5000]
+# out of range, some just past a cap, and odd spellings of 3 and 7
+ODD_INTS = ["-0", "0", "-1", "129", "1025", "100001", str(10**30), str(-10**30), str(2**63),
+            "7", " 7 ", "\u0663"]
+# "\udcff" is how an argument byte that is not UTF-8 reaches sys.argv
+ODD_IDS = ["nope", "", "v1 ", "V1", "v1+1", "v6", "\udcff", "--x"]
+UNKNOWN = ["--frob", "--frob=1", "-z", "--s", "--N=3", "extra", "--x", "--dot", "--", "-"]
+
+
+def drop_argument(argv, rng):
+    if argv:
+        del argv[rng.randrange(len(argv))]
+
+
+def drop_flag(argv, rng):
+    flags = [k for k, a in enumerate(argv) if a.startswith("--")]
+    if flags:
+        k = rng.choice(flags)
+        del argv[k : k + 2]
+
+
+def repeat_flag(argv, rng):
+    flags = [k for k, a in enumerate(argv) if a.startswith("--") and k + 1 < len(argv)]
+    if flags:
+        k = rng.choice(flags)
+        value = argv[k + 1] if rng.random() < 0.5 else rng.choice(NOT_INTS + ODD_INTS + ODD_IDS)
+        at = rng.randrange(len(argv) + 1)
+        argv[at:at] = [argv[k], value]
+
+
+def unknown_argument(argv, rng):
+    argv.insert(rng.randrange(len(argv) + 1), rng.choice(UNKNOWN))
+
+
+def odd_int(argv, rng):
+    own = [a for a in INT_FLAGS if a in argv[:-1]]
+    flag = rng.choice(own if own and rng.random() < 0.8 else INT_FLAGS)
+    value = rng.choice(NOT_INTS if rng.random() < 0.3 else ODD_INTS)
+    if flag in argv[:-1]:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv.extend([flag, value])
+
+
+def odd_id(argv, rng):
+    flag = rng.choice(["--x", "--y"])
+    if flag in argv[:-1]:
+        argv[argv.index(flag) + 1] = rng.choice(ODD_IDS)
+    else:
+        argv.extend([flag, rng.choice(ODD_IDS)])
+
+
+ARGV_MUTATORS = [drop_argument, drop_flag, repeat_flag, unknown_argument, odd_int, odd_int,
+                 odd_id]
+
+
+def _std_stream(errors: str) -> io.TextIOWrapper:
+    """A UTF-8 text stream over bytes, with the error handler of a real
+    process's stream: stderr writes a lone surrogate as backslashes."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
+
+
+def _text(stream: io.TextIOWrapper) -> str:
+    stream.flush()
+    return stream.buffer.getvalue().decode("utf-8")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_mutated_argv_keeps_the_exit_contract(command, tmp_path, monkeypatch):
+    # a stray path lands in tmp_path, where it is seen and removed
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "g.json"
+    graph.write_bytes((GOLDEN / "dn6_minimal.graph.json").read_bytes())
+    rng = random.Random(f"contract-fuzz argv {command}")
+    for _ in range(ARGVS_PER_COMMAND):
+        argv = [a.format(g="g.json", dot="report.dot") for a in COMMANDS[command]]
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            rng.choice(ARGV_MUTATORS)(argv, rng)
+        argv = [command, *argv, "--out=report.json"]
+        out, err = _std_stream("strict"), _std_stream("backslashreplace")
+        with monkeypatch.context() as streams:
+            streams.setattr(sys, "stdout", out)
+            streams.setattr(sys, "stderr", err)
+            try:
+                code = main(argv)
+            except BaseException as exc:  # any escape breaks the contract
+                pytest.fail(f"{argv!r} raised {exc!r}")
+        out, err = _text(out), _text(err)
+        written = sorted(p.name for p in tmp_path.iterdir() if p != graph)
+        context = f"{argv!r} exited {code}: {err[-300:]!r}, wrote {written}"
+        assert code in (0, 1, 2), context
+        assert "Traceback" not in err, context
+        if code == 2:
+            lines = err.splitlines()
+            assert out == "" and written == [], context
+            assert lines and sum("error: " in line for line in lines) == 1, context
+            assert lines[-1].startswith("error: ") or (
+                lines[0].startswith("usage: ") and ": error: " in lines[-1]), context
+            assert len(lines) == 1 or lines[0].startswith("usage: "), context
+        else:
+            assert err == "", context
+            # the last --out wins, unless a "--" made it an argument
+            text = (tmp_path / "report.json").read_text(encoding="utf-8") \
+                if "report.json" in written else out
+            assert "header" in json.loads(text), context
+            for name in written:
+                (tmp_path / name).unlink()

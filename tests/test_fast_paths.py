@@ -600,3 +600,30 @@ def test_order_report_peak_memory_is_rays_not_pairs(tmp_path):
         tracemalloc.stop()
     assert out.stat().st_size > 80_000_000
     assert peak < 3_100_000
+
+
+def test_certificate_peak_memory_is_per_pair(tmp_path, monkeypatch):
+    # with two evidence dicts per unordered pair, list copies of each bamboo and
+    # piece, fresh A_m witnesses per pair and then a list of report dicts, this
+    # run peaked at 4.4 MB; with one record of the decomposition's own tuples
+    # per pair, and each pair's dict made while it is written, at 2.1 MB
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(serialize_graph(_dominant_tree(48, 48))))
+    out = tmp_path / "certify.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["certify-minimal", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 5_000_000
+    assert peak < 3_000_000
+    docs: list = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+    assert cli.main(["certify-minimal", str(path)]) == 0
+    (doc,) = docs
+    assert isinstance(doc["pairs"], LazyArray)
+    doc["pairs"] = list(doc["pairs"])
+    assert len(doc["pairs"]) == 48 * 47
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert_same(out.read_bytes(), expected.encode("utf-8"))

@@ -240,7 +240,8 @@ def test_graph_fields_are_read_only(field):
 
 RECORDS = (
     "RayBasis", "NashRelation", "RelationMatrix", "BlowDownStep",
-    "ContractionTrace", "DecompositionCertificate", "Certificate", "TruncatedArc",
+    "ContractionTrace", "DecompositionCertificate", "BambooEvidence", "Certificate",
+    "TruncatedArc",
 )
 
 
@@ -256,7 +257,8 @@ def _record(name):
         "BlowDownStep": (cert.contraction.steps[0], "vertex"),
         "ContractionTrace": (cert.contraction, "empty"),
         "DecompositionCertificate": (cert, "bamboo"),
-        "Certificate": (certify_minimal(g), "entries"),
+        "BambooEvidence": (certify_minimal(g).bamboos[0][0], "bamboo"),
+        "Certificate": (certify_minimal(g), "bamboos"),
         "TruncatedArc": (sample_arc(2, 1, 4, 0), "x"),
     }[name]
 
