@@ -14,13 +14,14 @@ from typing import Any, Iterator, NamedTuple
 from .cycles import Cycle, fundamental_cycle, is_rational
 from .errors import BadWeight, InconsistentRelation, NotMinimal, SameVertex
 from .graph import (
+    LazyArray,
     WeightedDualGraph,
     cached_on_graph,
     dot_quote,
     graph_is_negative_definite,
     serialize_graph,
 )
-from .order import LazyArray, an_relation, relation_matrix
+from .order import an_relation, relation_matrix
 
 # most weight-1 vertices a bamboo decomposition may attach, counted as the
 # sum of weight minus valence: the supergraph, its blow-down and the

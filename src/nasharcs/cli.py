@@ -2,7 +2,8 @@
 
 Subcommands: analyze, order, certify-minimal, decompose, an-arcs,
 an-order.  JSON goes to stdout or --out; DOT diagrams to --dot.  Exit
-status 2 means an input or usage error for every command; otherwise
+status 2 means an input or usage error for every command, printed as one
+`error:` line on stderr; otherwise
 analyze, certify-minimal and decompose exit 0, order and an-order exit 1
 when some ordered pair has no non-inclusion proof, and an-arcs exits 1
 when a contact order, residual or separation check fails.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NoReturn
 
 from . import __version__
 from .arcs import contact_order, defining_residual, sample_arc, separation_check
@@ -29,12 +30,13 @@ from .cycles import fundamental_cycle, is_rational, ray_basis, serialize_ray_bas
 from .errors import BadParameter, MalformedDocument, NashArcsError
 from .generators import an_graph
 from .graph import (
+    LazyArray,
     WeightedDualGraph,
     graph_is_negative_definite,
     parse_graph,
     serialize_graph,
 )
-from .order import LazyArray, hasse_export, relation_matrix, serialize_relation_matrix
+from .order import hasse_export, relation_matrix, serialize_relation_matrix
 
 
 # longest arc series `an-arcs` will build; the cost grows much faster than
@@ -68,8 +70,8 @@ def _load_capped_graph(path: str) -> WeightedDualGraph:
 
 
 # characters gathered before one write; a write can exceed it by one piece.
-# 64 KiB keeps the pieces, their join and the encoded copy of one write small
-# next to a graph job's working set, and still few writes per report
+# 64 KiB keeps the window and the encoded copy of one write small next to a
+# graph job's working set, and still few writes per report
 CHUNK = 1 << 16
 
 
@@ -151,19 +153,23 @@ def _pieces(value: Any, nl: str, memo: dict[tuple, Any]) -> Iterator[str]:
 
 
 def _write_json(document: Any, write: Callable[[str], Any]) -> None:
-    buf: list[str] = []
-    size = 0
+    """Pass the text of `document` and a newline to `write`, in strings of
+    at least `CHUNK` characters but the last.
+
+    The window is one string that each piece is appended to; it is its
+    only reference, so CPython grows it in place, and no list of pieces
+    or joined copy of them is held beside it.
+    """
+    buf = ""
     memo: dict[tuple, Any] = {}
     text = _leaf(document, "\n", memo)
     for piece in [text] if text is not None else _pieces(document, "\n", memo):
-        buf.append(piece)
-        size += len(piece)
-        if size >= CHUNK:
-            write("".join(buf))
-            buf.clear()
-            size = 0
-    buf.append("\n")
-    write("".join(buf))
+        buf += piece
+        if len(buf) >= CHUNK:
+            write(buf)
+            buf = ""
+    buf += "\n"
+    write(buf)
 
 
 def _emit(document: dict[str, Any], out: str | None) -> None:
@@ -171,9 +177,10 @@ def _emit(document: dict[str, Any], out: str | None) -> None:
     and a newline.
 
     The text goes to the file `out`, or to stdout, in writes of about
-    `CHUNK` (64 Ki) characters, so the whole report is never one string and
-    a write holds little beside it; a `LazyArray`'s items are written as
-    they are made.  Each int array is rendered once per indent, and found
+    `CHUNK` (64 Ki) characters, each gathered in one growing string, so the
+    whole report is never one string and a write holds little beside it; a
+    `LazyArray`'s items, such as the pairs and ray columns of a report, are
+    written as they are made.  Each int array is rendered once per indent, and found
     again by identity when a later pair cites it.
     """
     if out:
@@ -302,8 +309,16 @@ def cmd_an_order(args: argparse.Namespace) -> int:
     return _order_report(an_graph(args.n), args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its subcommand parsers, whose
+    usage errors raise `BadParameter` instead of printing the usage."""
+
+    def error(self, message: str) -> NoReturn:
+        raise BadParameter(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nasharcs",
         description="Non-inclusion certificates for Nash arc families "
         "on resolution graphs of surface singularities.",
@@ -358,12 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # after --help; a usage error raises BadParameter
+            return 0
         return args.func(args)
     except (NashArcsError, OSError) as exc:
         kind = f"{type(exc).__name__}: " if isinstance(exc, NashArcsError) else ""

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotNegativeDefinite, ZeroCycle
 from .graph import (
+    LazyArray,
     WeightedDualGraph,
     cached_on_graph,
     graph_is_negative_definite,
@@ -146,13 +147,16 @@ def integer_rays(g: WeightedDualGraph) -> tuple[Cycle, ...]:
     return tuple(out)
 
 
-def serialize_ray_basis(rays: RayBasis) -> list[list[str]]:
-    """Columns as arrays of reduced rational strings "p/q", entry over det."""
-    out = []
-    for column in rays.columns:
-        cells = []
+def serialize_ray_basis(rays: RayBasis) -> LazyArray:
+    """Columns as arrays of reduced rational strings "p/q", entry over det;
+    a lazy array, each column's strings made while it is written."""
+    det = rays.det
+
+    def cells(column: Cycle) -> list[str]:
+        out = []
         for e in column:
-            common = gcd(e, rays.det)
-            cells.append(f"{e // common}/{rays.det // common}")
-        out.append(cells)
-    return out
+            common = gcd(e, det)
+            out.append(f"{e // common}/{det // common}")
+        return out
+
+    return LazyArray(lambda: map(cells, rays.columns))

@@ -45,7 +45,8 @@ class NotMinimal(NashArcsError):
 
 class BadParameter(NashArcsError):
     """Parameter out of range: the size of a graph file or of the built-in
-    A_n, or an arc sample count or truncation."""
+    A_n, or an arc sample count or truncation; or a command line that the
+    argument parser rejects."""
 
 
 class BadFamilyIndex(NashArcsError):

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .cycles import Cycle, integer_rays, is_anti_nef
 from .errors import InconsistentRelation, SameVertex
-from .graph import WeightedDualGraph, cached_on_graph, dot_quote
+from .graph import LazyArray, WeightedDualGraph, cached_on_graph, dot_quote
 
 
 class Verdict(enum.Enum):
@@ -168,19 +168,6 @@ def _an_orders(m: int) -> tuple[Cycle, Cycle]:
     """The two order vectors of A_m, made once per m, so that every pair
     pulled back to A_m cites the same two tuples."""
     return tuple(range(1, m + 1)), tuple(range(m, 0, -1))
-
-
-class LazyArray:
-    """A JSON array whose items `make()` builds afresh on every iteration;
-    `cli._emit` writes each item as it is made."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make: Callable[[], Iterable[Any]]) -> None:
-        self._make = make
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._make())
 
 
 def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:

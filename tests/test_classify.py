@@ -19,8 +19,8 @@ from nasharcs.classify import (
 from nasharcs.cli import main
 from nasharcs.errors import InconsistentRelation, NotMinimal, SameVertex
 from nasharcs.generators import an_graph
-from nasharcs.graph import WeightedDualGraph, parse_graph, serialize_graph
-from nasharcs.order import LazyArray, NashRelation, RelationMatrix, an_relation, relation_matrix
+from nasharcs.graph import LazyArray, WeightedDualGraph, parse_graph, serialize_graph
+from nasharcs.order import NashRelation, RelationMatrix, an_relation, relation_matrix
 
 from builders import e6_graph
 from oracles import dot_ids, exhaustive_contraction_orders, graph_state

@@ -193,6 +193,28 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["order", "g.json", "extra"], "unrecognized arguments: extra"),
+     ([], "the following arguments are required: command"),
+     (["an-order", "--n", "x"], "argument --n: invalid int value: 'x'"),
+     (["decompose", "g.json", "--x", "v1"], "the following arguments are required: --y")],
+    ids=["extra_argument", "no_command", "not_an_int", "missing_flag"],
+)
+def test_usage_error_prints_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: BadParameter: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["order", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: nasharcs") and captured.err == ""
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_an_order_bad_size_is_usage_error(n, tmp_path, capsys):
     code = main(["an-order", "--n", n, "--out", str(tmp_path / "o.json")])

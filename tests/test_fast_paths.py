@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction as Q
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -17,13 +18,14 @@ from nasharcs.cycles import integer_rays, ray_basis
 from nasharcs.errors import BadParameter, TruncationTooSmall
 from nasharcs.generators import an_graph
 from nasharcs.graph import (
+    LazyArray,
     WeightedDualGraph,
     graph_is_negative_definite,
     rooted,
     serialize_graph,
     tree_determinants,
 )
-from nasharcs.order import LazyArray, relation_matrix
+from nasharcs.order import relation_matrix
 from builders import _tree_from_edges, random_tree_edges
 from oracles import (
     gaussian_determinant,
@@ -504,7 +506,8 @@ def test_emit_peak_memory_is_window_plus_memo(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert out.stat().st_size > 4_000_000
     assert len(rays) == 100
-    # pieces, their join and the encoded copy of one write, each under a window
+    # the window, grown in place as one string, and the encoded copy of one
+    # write, each under a window, with room for the largest piece
     assert peak < 4 * WINDOW + memo
 
 
@@ -627,3 +630,52 @@ def test_certificate_peak_memory_is_per_pair(tmp_path, monkeypatch):
     assert len(doc["pairs"]) == 48 * 47
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert_same(out.read_bytes(), expected.encode("utf-8"))
+
+
+def _non_minimal_tree(n: int, seed: int) -> WeightedDualGraph:
+    """A random tree with w = max(valence, 2), except one less than the
+    valence at its largest hub, which makes it not minimal."""
+    edges = random_tree_edges(n, random.Random(seed))
+    valence = [0] * n
+    for a, b in edges:
+        valence[a] += 1
+        valence[b] += 1
+    weights = [max(v, 2) for v in valence]
+    hub = max(range(n), key=valence.__getitem__)
+    weights[hub] = valence[hub] - 1
+    return _tree_from_edges(n, edges, weights)
+
+
+def test_analyze_report_peak_memory_is_per_column(tmp_path, monkeypatch):
+    # with the n^2 "p/q" strings of the ray basis made before the report is
+    # written, and each write window held as a list of pieces and their join,
+    # this run peaked at 2.5 MB; with each column's strings made while it is
+    # written, into a window that is one growing string, at 1.6 MB
+    g = _non_minimal_tree(100, 100)
+    assert graph_is_negative_definite(g) and not classify.is_minimal(g)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(serialize_graph(g)))
+    out = tmp_path / "analyze.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 50_000_000
+    assert peak < 2_000_000
+    docs: list = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+    assert cli.main(["analyze", str(path)]) == 0
+    (doc,) = docs
+    assert isinstance(doc["ray_basis"], LazyArray)
+    doc["ray_basis"] = list(doc["ray_basis"])
+    doc["relation"] = {k: list(v) for k, v in doc["relation"].items()}
+    assert len(doc["ray_basis"]) == 100 and len(doc["relation"]["pairs"]) == 100 * 99
+    # json.dumps(doc, indent=2, sort_keys=True) + "\n", compared a batch of its
+    # pieces at a time: the whole text and its pieces would take hundreds of MB
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    with open(out, encoding="utf-8", newline="") as fh:
+        while expected := "".join(islice(pieces, 100_000)):
+            assert_same(fh.read(len(expected)), expected)
+        assert fh.read() == "\n"
