@@ -156,9 +156,9 @@ def _write_json(document: Any, write: Callable[[str], Any]) -> None:
     """Pass the text of `document` and a newline to `write`, in strings of
     at least `CHUNK` characters but the last.
 
-    The window is one string that each piece is appended to; it is its
-    only reference, so CPython grows it in place, and no list of pieces
-    or joined copy of them is held beside it.
+    The window is one string that each piece is appended to.  `buf` is
+    its only reference, so CPython's `+=` grows it in place, and no list
+    of pieces or joined copy of them is held beside it.
     """
     buf = ""
     memo: dict[tuple, Any] = {}
@@ -180,8 +180,8 @@ def _emit(document: dict[str, Any], out: str | None) -> None:
     `CHUNK` (64 Ki) characters, each gathered in one growing string, so the
     whole report is never one string and a write holds little beside it; a
     `LazyArray`'s items, such as the pairs and ray columns of a report, are
-    written as they are made.  Each int array is rendered once per indent, and found
-    again by identity when a later pair cites it.
+    written as they are made.  Each int array is rendered once per indent,
+    and found again by identity when a later pair cites it.
     """
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -208,13 +208,6 @@ def test_usage_error_prints_one_error_line(argv, message, capsys):
     assert captured.err == f"error: BadParameter: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["order", "--help"]])
-def test_help_exits_0(argv, capsys):
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("usage: nasharcs") and captured.err == ""
-
-
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_an_order_bad_size_is_usage_error(n, tmp_path, capsys):
     code = main(["an-order", "--n", n, "--out", str(tmp_path / "o.json")])
