@@ -13,7 +13,7 @@ import random
 from math import gcd
 from typing import Any, NamedTuple, Sequence
 
-from .errors import BadFamilyIndex, BadParameter, SameVertex, TruncationTooSmall
+from .errors import BadFamilyIndex, SameVertex, TruncationTooSmall
 
 Series = tuple[int, ...]  # numerator of the coefficient of t^k at index k
 
@@ -159,14 +159,14 @@ def separation_check(
     Every arc of N_i must have a nonzero coefficient of t^i in x, while
     every arc of N_j (j > i) has that coefficient equal to zero.  The
     report lists each failing sample under "counterexamples"; "passed"
-    is true when there is none.
+    is true when there is none.  `_draw_x` builds both facts in, so on
+    its own arcs this restates the sampler and cannot fail.  The caller
+    checks that `samples` is at least 1.
     """
     if i == j:
         raise SameVertex("separation needs two distinct families")
     if not 1 <= i < j <= n:
         raise BadFamilyIndex(f"need 1 <= i < j <= n, got i={i}, j={j}")
-    if samples < 1:
-        raise BadParameter(f"sample count {samples} must be at least 1")
     bad: list[dict[str, Any]] = []
     for s in range(samples):
         _, x_i = _draw_x(n, i, trunc, (seed, "i", s))

@@ -48,7 +48,7 @@ def is_an(g: WeightedDualGraph) -> int | None:
 
 class BlowDownStep(NamedTuple):
     vertex: str
-    neighbors: tuple[str, ...]  # reconnected when there are two
+    neighbors: tuple[str, ...]  # at most one: only leaves are blown down
 
 
 class ContractionTrace(NamedTuple):
@@ -57,11 +57,12 @@ class ContractionTrace(NamedTuple):
 
 
 def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
-    """Greedy blow-down of weight-1, valence <= 2 vertices, smallest index first.
+    """Greedy blow-down of weight-1 leaves (or a lone vertex), smallest index first.
 
-    g is a tree, and blowing down a valence-2 vertex joins two vertices
-    that were at distance 2, so every graph along the way is a tree and
-    no blow-down can create a multi-edge.
+    Leaves are enough for the supergraphs `_leaf_embedding` builds:
+    there weight - valence is 0 at every vertex but z_1, where it is 1,
+    and blowing down a leaf lowers both at its neighbour, so a weight-1
+    vertex is always a leaf, or z_1 once it is the last vertex left.
     """
     # dicts keep insertion order across deletions, so scanning `weight`
     # visits the vertices left by index and the first eligible is smallest
@@ -70,7 +71,7 @@ def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
     steps: list[BlowDownStep] = []
     while weight:
         for v in weight:
-            if weight[v] == 1 and len(adj[v]) <= 2:
+            if weight[v] == 1 and len(adj[v]) <= 1:
                 break
         else:
             return ContractionTrace(steps=tuple(steps), empty=False)
@@ -78,9 +79,6 @@ def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
         for u in nbrs:
             weight[u] -= 1
             adj[u].discard(v)
-        if len(nbrs) == 2:
-            adj[nbrs[0]].add(nbrs[1])
-            adj[nbrs[1]].add(nbrs[0])
         del weight[v]
         steps.append(BlowDownStep(g.ids[v], tuple(g.ids[u] for u in nbrs)))
     return ContractionTrace(steps=tuple(steps), empty=True)

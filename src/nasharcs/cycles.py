@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NotNegativeDefinite, ZeroCycle
+from .errors import NotNegativeDefinite
 from .graph import (
     LazyArray,
     WeightedDualGraph,
@@ -26,16 +26,6 @@ from .graph import (
 Cycle = tuple[int, ...]
 
 
-def _check_cycle(g: WeightedDualGraph, z: Sequence[int]) -> Cycle:
-    if len(z) != g.n:
-        raise DimensionMismatch(f"cycle length {len(z)} != {g.n}")
-    if all(c == 0 for c in z):
-        raise ZeroCycle("effective exceptional cycle must be nonzero")
-    if any(c < 0 for c in z):
-        raise ZeroCycle("effective exceptional cycle must be >= 0")
-    return tuple(z)
-
-
 def intersection_products(g: WeightedDualGraph, z: Sequence) -> tuple:
     """Components of M.z, via the sparse tree structure (exact)."""
     adj = g.adj
@@ -46,8 +36,7 @@ def intersection_products(g: WeightedDualGraph, z: Sequence) -> tuple:
 
 def is_anti_nef(g: WeightedDualGraph, z: Sequence[int]) -> bool:
     """True iff every component of M.z is <= 0."""
-    zc = _check_cycle(g, z)
-    return all(c <= 0 for c in intersection_products(g, zc))
+    return all(c <= 0 for c in intersection_products(g, z))
 
 
 def _require_negative_definite(g: WeightedDualGraph) -> None:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all nasharcs modules."""
+"""Exception hierarchy shared by all nasharcs modules; the CLI prints
+each as one `error:` line and exits 2."""
 
 
 class NashArcsError(Exception):
@@ -16,14 +17,6 @@ class NotATree(NashArcsError):
 class BadWeight(NashArcsError):
     """Vertex weight below the allowed minimum, or weights too large to
     print det(-M) or to attach their weight-1 vertices."""
-
-
-class DimensionMismatch(NashArcsError):
-    """Cycle length disagrees with the graph."""
-
-
-class ZeroCycle(NashArcsError):
-    """An effective exceptional cycle must be nonzero."""
 
 
 class NotNegativeDefinite(NashArcsError):

@@ -31,13 +31,13 @@ class WeightedDualGraph:
     `auxiliary`; then the tree shape.
 
     The fields are `ids`, `weights`, `edges` (index pairs (i, j) with
-    i < j, as a frozenset) and `auxiliary`.  Equality, hashing and `repr`
-    use these four only, and no attribute can be assigned once set.  The
-    constructor also builds `adj`, each vertex's sorted neighbours, and
-    `index`, the id -> index dict.  Other derived per-graph data (rooted
-    walks, definiteness, fundamental cycle, ray basis, relation table,
-    ...) is memoized in `_memo`, a dict owned by this instance and filled
-    by functions decorated with `cached_on_graph`; it is dropped with the
+    i < j, as a frozenset) and `auxiliary`, and no attribute can be
+    assigned once set; graphs compare by identity.  The constructor also
+    builds `adj`, each vertex's sorted neighbours, and `index`, the id ->
+    index dict.  Other derived per-graph data (rooted walks,
+    definiteness, fundamental cycle, ray basis, relation table, ...) is
+    memoized in `_memo`, a dict owned by this instance and filled by
+    functions decorated with `cached_on_graph`; it is dropped with the
     graph, and a lookup never hashes or compares the graph.
     """
 
@@ -91,23 +91,6 @@ class WeightedDualGraph:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.ids, self.weights, self.edges, self.auxiliary
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightedDualGraph(ids={self.ids!r}, weights={self.weights!r}, "
-            f"edges={self.edges!r}, auxiliary={self.auxiliary!r})"
-        )
 
     @property
     def n(self) -> int:

@@ -79,10 +79,6 @@ class RelationMatrix(NamedTuple):
                 yield (i, j), rel
                 yield (j, i), rel.reversed()
 
-    def non_inclusions(self) -> frozenset[tuple[int, int]]:
-        """Ordered pairs (a, b) with a proof that closure(N_a) is not in closure(N_b)."""
-        return frozenset(p for p, rel in self.pairs() if rel.witness_ij is not None)
-
     def open_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for p, rel in self.pairs() if rel.witness_ij is None)
 

@@ -12,6 +12,11 @@ from nasharcs.cycles import is_rational
 from nasharcs.graph import WeightedDualGraph, graph_is_negative_definite
 
 
+def graph_fields(g: WeightedDualGraph) -> tuple:
+    """The four fields that fix a graph; graphs themselves compare by identity."""
+    return g.ids, g.weights, g.edges, g.auxiliary
+
+
 def e6_graph() -> WeightedDualGraph:
     """Canonical labeling: chain v1-v2-v3-v4-v5 with v6 attached to v3, all weights 2."""
     ids = [f"v{k}" for k in range(1, 7)]

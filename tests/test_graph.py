@@ -19,7 +19,12 @@ from nasharcs.graph import (
 )
 from nasharcs.order import relation_matrix
 
-from builders import _tree_from_edges, random_negative_definite_graph, random_tree_edges
+from builders import (
+    _tree_from_edges,
+    graph_fields,
+    random_negative_definite_graph,
+    random_tree_edges,
+)
 from oracles import intersection_rows, negative_definite_by_minors, negative_definite_by_sylvester
 
 A2_DOC = {
@@ -135,14 +140,14 @@ def test_garbage_document():
 
 def test_parse_serialize_roundtrip():
     g = parse_graph(A2_DOC)
-    assert parse_graph(serialize_graph(g)) == g
+    assert graph_fields(parse_graph(serialize_graph(g))) == graph_fields(g)
 
 
 def test_roundtrip_on_random_corpus():
     rng = random.Random(5)
     for _ in range(25):
         g = random_negative_definite_graph(rng, max_vertices=9)
-        assert parse_graph(serialize_graph(g)) == g
+        assert graph_fields(parse_graph(serialize_graph(g))) == graph_fields(g)
 
 
 # the dense matrix is the tests' reference, so it is pinned on known cases
@@ -235,7 +240,8 @@ def test_graph_fields_are_read_only(field):
         setattr(g, field, before)
     with pytest.raises(AttributeError):
         delattr(g, field)
-    assert getattr(g, field) is before and g == an_graph(3)
+    assert getattr(g, field) is before
+    assert graph_fields(g) == graph_fields(an_graph(3))
 
 
 RECORDS = (
