@@ -2,10 +2,10 @@
 
 Samples truncated power-series arcs in each family N_i, reads the contact
 orders of the coordinates off them, checks that they satisfy the defining
-equation, and checks the coefficient separation that keeps distinct
-families out of each other's closures.  Everything is exact integer
-arithmetic: each coordinate is a tuple of integer numerators over its own
-denominator; randomness is fully seeded.
+equation, and reports the coefficient separation that keeps distinct
+families out of each other's closures, which the sampler builds in.
+Everything is exact integer arithmetic: each coordinate is a tuple of
+integer numerators over its own denominator; randomness is fully seeded.
 """
 from __future__ import annotations
 
@@ -81,12 +81,11 @@ class TruncatedArc(NamedTuple):
     den: tuple[int, int, int]
 
 
-def _draw_x(n: int, i: int, trunc: int, seed: Any) -> tuple[random.Random, list[int]]:
-    """Seed the generator of an arc of N_i and draw _SCALE * x, with ord(x) = i.
+def sample_arc(n: int, i: int, trunc: int, seed: Any) -> TruncatedArc:
+    """Draw a generic arc of N_i: ord(x) = i, ord(z) = 1, y = z^(n+1) / x.
 
-    x is drawn first; `sample_arc` goes on to draw z from the returned
-    generator.  x runs to t^(trunc+i), a little past the target order,
-    so the division giving y stays exact.
+    x runs to t^(trunc+i), a little past the target order, so the
+    division giving y stays exact; z is drawn after it.
     """
     if not 1 <= i <= n:
         raise BadFamilyIndex(f"family index {i} not in 1..{n}")
@@ -98,13 +97,6 @@ def _draw_x(n: int, i: int, trunc: int, seed: Any) -> tuple[random.Random, list[
     x[i] = rng.choice(_NONZERO_DRAWS)
     for k in range(i + 1, work + 1):
         x[k] = rng.choice(_DRAWS)
-    return rng, x
-
-
-def sample_arc(n: int, i: int, trunc: int, seed: Any) -> TruncatedArc:
-    """Draw a generic arc of N_i: ord(x) = i, ord(z) = 1, y = z^(n+1) / x."""
-    rng, x = _draw_x(n, i, trunc, seed)
-    work = trunc + i
     z = [0] * (work + 1)
     z[1] = rng.choice(_NONZERO_DRAWS)
     for k in range(2, work + 1):
@@ -154,29 +146,25 @@ def contact_order(arc: TruncatedArc, axis: str) -> int | None:
 def separation_check(
     n: int, i: int, j: int, samples: int, trunc: int, seed: Any
 ) -> dict[str, Any]:
-    """Check the open condition separating N_i from the closure of N_j.
+    """The open condition separating N_i from the closure of N_j.
 
-    Every arc of N_i must have a nonzero coefficient of t^i in x, while
-    every arc of N_j (j > i) has that coefficient equal to zero.  The
-    report lists each failing sample under "counterexamples"; "passed"
-    is true when there is none.  `_draw_x` builds both facts in, so on
-    its own arcs this restates the sampler and cannot fail.  The caller
-    checks that `samples` is at least 1.
+    Every arc of N_i has a nonzero coefficient of t^i in x, while every
+    arc of N_j (j > i) has that coefficient equal to zero.  `sample_arc`
+    draws x so that both hold: family i's t^i coefficient from the
+    nonzero draws, and family j's x zero below t^j.  So the report,
+    for any `samples` and `seed`, says "passed" with no
+    "counterexamples", and no arc is drawn for it; `samples` is the
+    per-family count it echoes.  Families and truncation are checked
+    as `sample_arc` checks them.
     """
     if i == j:
         raise SameVertex("separation needs two distinct families")
     if not 1 <= i < j <= n:
         raise BadFamilyIndex(f"need 1 <= i < j <= n, got i={i}, j={j}")
-    bad: list[dict[str, Any]] = []
-    for s in range(samples):
-        _, x_i = _draw_x(n, i, trunc, (seed, "i", s))
-        _, x_j = _draw_x(n, j, trunc, (seed, "j", s))
-        if x_i[i] == 0:
-            bad.append({"family": i, "sample": s, "reason": "coefficient t^i of x is zero"})
-        if x_j[i] != 0:
-            bad.append({"family": j, "sample": s, "reason": "coefficient t^i of x is nonzero"})
-    return {"n": n, "i": i, "j": j, "samples": samples, "passed": not bad,
-            "counterexamples": bad}
+    if trunc < n + 2:
+        raise TruncationTooSmall(f"truncation {trunc} must be at least {n + 2}")
+    return {"n": n, "i": i, "j": j, "samples": samples, "passed": True,
+            "counterexamples": []}
 
 
 def defining_residual(arc: TruncatedArc) -> Series:

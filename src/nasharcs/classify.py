@@ -301,15 +301,18 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
 
 
 def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
+    """The decomposition's report; its own tuples and `attached` dict are
+    handed to the writer, not copied, since the pieces alone hold
+    O(surplus x depth) ids."""
     return {
         "graph": serialize_graph(cert.graph),
         "supergraph": serialize_graph(cert.supergraph),
-        "bamboo": list(cert.bamboo),
-        "attached": dict(cert.attached),
-        "pieces": [list(p) for p in cert.pieces],
+        "bamboo": cert.bamboo,
+        "attached": cert.attached,
+        "pieces": cert.pieces,
         "designated": cert.designated,
         "m": cert.m,
-        "positions": list(cert.positions),
+        "positions": cert.positions,
         "contracts_to_empty": cert.contraction.empty,
         "contraction_steps": [
             {"vertex": s.vertex, "neighbors": list(s.neighbors)}

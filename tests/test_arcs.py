@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nasharcs
+from nasharcs import arcs
 from nasharcs.arcs import (
     TruncatedArc,
     contact_order,
@@ -108,6 +109,17 @@ def test_separation_check_passes():
     assert rep["passed"] and not rep["counterexamples"]
     rep = separation_check(2, 1, 2, samples=100, trunc=12, seed=5)
     assert rep["passed"]
+
+
+def test_separation_check_draws_no_arc(monkeypatch):
+    # the verdict follows from how `sample_arc` draws x, so no generator is seeded
+    def refuse(*args):
+        raise AssertionError("separation_check drew an arc")
+
+    monkeypatch.setattr(arcs.random, "Random", refuse)
+    rep = separation_check(12, 3, 9, samples=100_000, trunc=52, seed=11)
+    assert rep == {"n": 12, "i": 3, "j": 9, "samples": 100_000, "passed": True,
+                   "counterexamples": []}
 
 
 def test_separation_check_bad_pairs():

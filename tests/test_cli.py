@@ -336,7 +336,7 @@ def test_graph_file_above_cap_exits_2_fast(command, tmp_path, capsys):
 
 
 def test_decompose_above_cap_still_runs(tmp_path):
-    # its report is O(n), so the vertex cap does not apply
+    # its report grows as O(surplus x depth), not as n^3, so the vertex cap does not apply
     graph = _path_file(tmp_path, 129)
     code, doc = run_json(["decompose", graph, "--x", "E1", "--y", "E129"], tmp_path)
     assert code == 0 and doc["m"] == 129
@@ -412,23 +412,30 @@ def default_digit_limit():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, error",
     [
         # json.loads itself refuses a literal past the 4300-digit limit
-        _two_weights("1" + "0" * 5000, "2"),
+        (_two_weights("1" + "0" * 5000, "2"), "MalformedDocument: invalid JSON: Exceeds the limit"),
         # both parse, but det(-M) has about 6000 digits and `analyze` prints it
-        _two_weights("1" + "0" * 3000, "1" + "0" * 3000),
+        (_two_weights("1" + "0" * 3000, "1" + "0" * 3000), "BadWeight: the weights total"),
+        # documents that are valid JSON but no graph
+        ('{"vertices": [], "edges": []}',
+         "MalformedDocument: graph needs at least one vertex"),
+        *((text, "MalformedDocument: document must be a JSON object")
+          for text in ("[]", "3", '"x"', "null")),
     ],
-    ids=["weight_of_5001_digits", "two_weights_of_3001_digits"],
+    ids=["weight_of_5001_digits", "two_weights_of_3001_digits", "no_vertices",
+         "top_level_array", "top_level_number", "top_level_string", "top_level_null"],
 )
 @pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=GRAPH_COMMAND_IDS)
-def test_integer_past_digit_limit_exits_2(argv, text, tmp_path, capsys, default_digit_limit):
+def test_integer_past_digit_limit_exits_2(argv, text, error, tmp_path, capsys,
+                                          default_digit_limit):
     g = tmp_path / "big.json"
     g.write_text(text)
     code, out = run_json([argv[0], str(g), *argv[1:]], tmp_path)
-    err = capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
     assert code == 2 and out is None
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}")
 
 
 @pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=GRAPH_COMMAND_IDS)

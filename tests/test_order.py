@@ -5,11 +5,13 @@ import random
 import pytest
 
 from nasharcs.cycles import integer_rays, is_anti_nef, ray_basis
-from nasharcs.errors import SameVertex
+from nasharcs.errors import InconsistentRelation, SameVertex
 from nasharcs.generators import an_graph
 from nasharcs.graph import WeightedDualGraph, serialize_graph
 from nasharcs.order import (
+    RelationMatrix,
     Verdict,
+    _verify_table,
     an_relation,
     hasse_edges,
     hasse_export,
@@ -23,6 +25,33 @@ from oracles import dot_ids, order_cycle_witness
 def test_relate_same_vertex():
     with pytest.raises(SameVertex):
         relation_matrix(an_graph(3)).get(2, 2)
+    with pytest.raises(SameVertex):
+        an_relation(4, 2, 2)
+
+
+def _path(n: int, w: int) -> WeightedDualGraph:
+    return WeightedDualGraph([(f"v{k}", w) for k in range(n)],
+                             [(f"v{k}", f"v{k + 1}") for k in range(n - 1)])
+
+
+# hand-made tables that no ray basis gives, one per check of `_verify_table`;
+# its antisymmetry check cannot be reached this way, since `pairs()` yields
+# the reverse of a LESS pair as GREATER
+@pytest.mark.parametrize(
+    "g, rays, message",
+    [
+        # neither column separates the pair either way
+        (_path(2, 5), ((1, 1), (1, 1)), "compare equal"),
+        # (1, 3) orders the pair, but is not anti-nef: 3 > 2 * 1 at v0
+        (an_graph(2), ((1, 3), (1, 3)), "bad witness"),
+        # anti-nef columns giving 0 < 1 and 1 < 2, yet 0 and 2 incomparable
+        (_path(3, 5), ((2, 2, 1), (1, 2, 2), (1, 1, 2)), "transitivity"),
+    ],
+    ids=["no_witness", "not_anti_nef", "not_transitive"],
+)
+def test_verify_table_rejects_incoherent_tables(g, rays, message):
+    with pytest.raises(InconsistentRelation, match=message):
+        _verify_table(RelationMatrix(graph=g, rays=rays))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
