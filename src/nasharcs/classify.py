@@ -93,7 +93,9 @@ class DecompositionCertificate(NamedTuple):
     path piece from z_1, and the designated piece runs through both x
     and y.  `m` is the length of the bamboo, the A_m quotient the pair
     is pulled back from, and `positions` are the 1-based places of x
-    and y along the bamboo.
+    and y along the bamboo.  `attached` and `pieces` are the leaf
+    embedding's own, shared by every decomposition from the same z_1:
+    they must not be mutated.
     """
 
     graph: WeightedDualGraph
@@ -182,7 +184,7 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
         graph=g,
         supergraph=supergraph,
         bamboo=tuple(g.ids[v] for v in bamboo),
-        attached=dict(attached),
+        attached=attached,
         pieces=pieces,
         designated=designated,
         m=len(bamboo),

@@ -7,36 +7,49 @@ status 2 means an input or usage error for every command, printed as one
 analyze, certify-minimal and decompose exit 0, order and an-order exit 1
 when some ordered pair has no non-inclusion proof, and an-arcs exits 1
 when a contact order or residual check fails.
+
+Each layer runs on first use: importing the CLI runs only `errors`, and a
+command runs the layers it reads names from, so `an-arcs` runs no graph
+layer and the graph commands do not run `arcs`.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from json.encoder import encode_basestring_ascii
+from types import ModuleType
 from typing import Any, Callable, Iterator, NoReturn
 
 from . import __version__
-from .arcs import contact_order, defining_residual, sample_arc, separation_check
-from .classify import (
-    certify_minimal,
-    decompose_minimal,
-    is_an,
-    is_minimal,
-    serialize_certificate,
-    serialize_decomposition,
-    supergraph_dot,
-)
-from .cycles import fundamental_cycle, is_rational, ray_basis, serialize_ray_basis
 from .errors import BadParameter, MalformedDocument, NashArcsError
-from .generators import an_graph
-from .graph import (
-    LazyArray,
-    WeightedDualGraph,
-    graph_is_negative_definite,
-    parse_graph,
-    serialize_graph,
-)
-from .order import hasse_export, relation_matrix, serialize_relation_matrix
+
+
+def _layer(name: str) -> ModuleType:
+    """The module `nasharcs.<name>`, run when one of its attributes is first
+    read; the module itself if it is loaded already.
+
+    It goes into `sys.modules`, and onto the package, before it runs, so
+    the layers that import it meet this one object.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+arcs = _layer("arcs")
+classify = _layer("classify")
+cycles = _layer("cycles")
+generators = _layer("generators")
+graph = _layer("graph")
+order = _layer("order")
 
 
 # longest arc series `an-arcs` will build; the cost grows much faster than
@@ -53,16 +66,16 @@ MAX_SAMPLES = 100_000
 MAX_VERTICES = 128
 
 
-def _load_graph(path: str) -> WeightedDualGraph:
+def _load_graph(path: str) -> graph.WeightedDualGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"not UTF-8 text: {exc}") from None
-    return parse_graph(text)
+    return graph.parse_graph(text)
 
 
-def _load_capped_graph(path: str) -> WeightedDualGraph:
+def _load_capped_graph(path: str) -> graph.WeightedDualGraph:
     g = _load_graph(path)
     if g.n > MAX_VERTICES:
         raise BadParameter(f"graph has {g.n} vertices, above the cap {MAX_VERTICES}")
@@ -114,7 +127,7 @@ def _leaf(value: Any, nl: str, memo: dict[tuple, Any]) -> str | None:
         return None
     if isinstance(value, dict):
         return None if value else "{}"
-    if isinstance(value, LazyArray):
+    if isinstance(value, graph.LazyArray):
         return None
     # a float lands here too: no report holds one
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -208,31 +221,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_capped_graph(args.graph)
     report: dict[str, Any] = {
         "header": _header(),
-        "graph": serialize_graph(g),
+        "graph": graph.serialize_graph(g),
         "vertices": g.n,
-        "negative_definite": graph_is_negative_definite(g),
+        "negative_definite": graph.graph_is_negative_definite(g),
     }
     if report["negative_definite"]:
-        report["rational"] = is_rational(g)
-        report["minimal"] = is_minimal(g)
-        report["an"] = is_an(g)
-        report["fundamental_cycle"] = list(fundamental_cycle(g))
-        report["ray_basis"] = serialize_ray_basis(ray_basis(g))
-        rm = relation_matrix(g)
-        report["relation"] = serialize_relation_matrix(rm)
+        report["rational"] = cycles.is_rational(g)
+        report["minimal"] = classify.is_minimal(g)
+        report["an"] = classify.is_an(g)
+        report["fundamental_cycle"] = list(cycles.fundamental_cycle(g))
+        report["ray_basis"] = cycles.serialize_ray_basis(cycles.ray_basis(g))
+        rm = order.relation_matrix(g)
+        report["relation"] = order.serialize_relation_matrix(rm)
         if report["minimal"]:
-            cert = certify_minimal(g)
-            report["certificate"] = serialize_certificate(cert)
+            cert = classify.certify_minimal(g)
+            report["certificate"] = classify.serialize_certificate(cert)
     _emit(report, args.out)
     return 0
 
 
-def _order_report(g: WeightedDualGraph, args: argparse.Namespace) -> int:
-    rm = relation_matrix(g)
-    doc = {"header": _header(), "graph": serialize_graph(g)}
-    doc.update(serialize_relation_matrix(rm))
+def _order_report(g: graph.WeightedDualGraph, args: argparse.Namespace) -> int:
+    rm = order.relation_matrix(g)
+    doc = {"header": _header(), "graph": graph.serialize_graph(g)}
+    doc.update(order.serialize_relation_matrix(rm))
     if args.dot:  # before the report, and the diagram is built only when asked for
-        _write_dot(hasse_export(rm), args.dot)
+        _write_dot(order.hasse_export(rm), args.dot)
     _emit(doc, args.out)
     return 1 if rm.open_pairs() else 0
 
@@ -243,20 +256,20 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 def cmd_certify_minimal(args: argparse.Namespace) -> int:
     g = _load_capped_graph(args.graph)
-    cert = certify_minimal(g)
+    cert = classify.certify_minimal(g)
     doc = {"header": _header()}
-    doc.update(serialize_certificate(cert))
+    doc.update(classify.serialize_certificate(cert))
     _emit(doc, args.out)
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    cert = decompose_minimal(g, args.x, args.y)
+    cert = classify.decompose_minimal(g, args.x, args.y)
     doc = {"header": _header()}
-    doc.update(serialize_decomposition(cert))
+    doc.update(classify.serialize_decomposition(cert))
     if args.dot:
-        _write_dot(supergraph_dot(cert), args.dot)
+        _write_dot(classify.supergraph_dot(cert), args.dot)
     _emit(doc, args.out)
     return 0
 
@@ -277,13 +290,13 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
     }
     if args.against is not None:  # before sampling, so a bad --against fails fast
         lo, hi = sorted((i, args.against))
-        doc["separation"] = separation_check(n, lo, hi, args.samples, trunc, args.seed)
+        doc["separation"] = arcs.separation_check(n, lo, hi, args.samples, trunc, args.seed)
     records = []
     ok = True
     for s in range(args.samples):
-        arc = sample_arc(n, i, trunc, (args.seed, s))
-        orders = {axis: contact_order(arc, axis) for axis in "xyz"}
-        residual_zero = not any(defining_residual(arc))
+        arc = arcs.sample_arc(n, i, trunc, (args.seed, s))
+        orders = {axis: arcs.contact_order(arc, axis) for axis in "xyz"}
+        residual_zero = not any(arcs.defining_residual(arc))
         expected = orders == {"x": i, "y": n + 1 - i, "z": 1}
         ok = ok and residual_zero and expected
         records.append(
@@ -298,7 +311,7 @@ def cmd_an_arcs(args: argparse.Namespace) -> int:
 def cmd_an_order(args: argparse.Namespace) -> int:
     if args.n > MAX_VERTICES:
         raise BadParameter(f"--n {args.n} is above the cap {MAX_VERTICES}")
-    return _order_report(an_graph(args.n), args)
+    return _order_report(generators.an_graph(args.n), args)
 
 
 class _Parser(argparse.ArgumentParser):

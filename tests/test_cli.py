@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nasharcs import cli
+from nasharcs import classify, cli, order
 from nasharcs.cli import main
 from nasharcs.generators import an_graph
 from nasharcs.graph import serialize_graph
@@ -64,8 +64,8 @@ def test_dot_text_is_built_only_for_dot(argv, golden, expected, tmp_path, monkey
     def refuse(*args):
         raise AssertionError("DOT text built without --dot")
 
-    monkeypatch.setattr(cli, "hasse_export", refuse)
-    monkeypatch.setattr(cli, "supergraph_dot", refuse)
+    monkeypatch.setattr(order, "hasse_export", refuse)
+    monkeypatch.setattr(classify, "supergraph_dot", refuse)
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == expected
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -8,9 +8,9 @@ the package outside its own statement, and so must a method or property
 of a module-level class, by name, outside its own `def`.  The benchmark
 scripts in `perfbench/` count as readers of methods, and a method that
 overrides one of a base class from outside the package is exempt.  A
-fresh interpreter checks
-that loading the CLI, and with it every layer, does not pull in
-`dataclasses`, `inspect` or `fractions`.
+fresh interpreter checks that running every module of the package does
+not pull in `dataclasses`, `inspect` or `fractions`, and one per command
+checks that the CLI runs only the layers that command uses.
 """
 from __future__ import annotations
 
@@ -197,15 +197,62 @@ def test_dead_definition_is_caught():
     ]
 
 
+MODULES = ("errors", "graph", "cycles", "order", "generators", "classify", "arcs", "cli")
+
+
+def _probe(code: str, *args: str) -> str:
+    """Standard output of `code`, given `args`, in a fresh interpreter that
+    finds this package."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter, because pytest and hypothesis import both modules
-    # nor `fractions`, with its `decimal` and `numbers`: only `RayBasis.rows` uses it
+    # nor `fractions`, with its `decimal` and `numbers`: only `RayBasis.rows` uses it;
+    # the CLI runs a layer when one of its names is first read, so read one of each
     probe = (
-        "import sys, nasharcs.cli; print(sorted("
+        "import sys, types, nasharcs.cli\n"
+        "mods = [sys.modules['nasharcs.' + name] for name in sys.argv[1:]]\n"
+        "[m.__name__ for m in mods]\n"
+        "print(all(type(m) is types.ModuleType for m in mods), sorted("
         "{'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
+    assert _probe(probe, *MODULES) == "True []\n"
+
+
+GOLDEN = PACKAGE.parent.parent / "tests" / "data" / "golden"
+MINIMAL = str(GOLDEN / "minimal_0.graph.json")
+ORDER_LAYERS = ["cycles", "errors", "graph", "order"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["an-arcs", "--n", "5", "--family", "1", "--against", "4", "--samples", "3"],
+     ["arcs", "errors"]),
+    (["analyze", str(GOLDEN / "star_indefinite.graph.json")], ["errors", "graph"]),
+    (["order", MINIMAL], ORDER_LAYERS),
+    (["an-order", "--n", "4"], sorted(ORDER_LAYERS + ["generators"])),
+    (["certify-minimal", MINIMAL], sorted(ORDER_LAYERS + ["classify"])),
+    (["decompose", MINIMAL, "--x", "v1", "--y", "v6"], sorted(ORDER_LAYERS + ["classify"])),
+    (["analyze", MINIMAL], sorted(ORDER_LAYERS + ["classify"])),
+    (["--help"], ["errors"]),
+], ids=["an-arcs", "analyze-indefinite", "order", "an-order", "certify-minimal",
+        "decompose", "analyze-minimal", "help"])
+def test_command_runs_only_its_layers(argv, layers, tmp_path):
+    # run as `python -m nasharcs.cli` runs it, with the CLI module as
+    # `__main__`; a layer that has not run is still a lazy module, whose
+    # type is a subclass of ModuleType
+    probe = (
+        "import runpy, sys, types\n"
+        "try:\n"
+        "    runpy.run_module('nasharcs.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, sorted(name[len('nasharcs.'):] for name, m in sys.modules.items()\n"
+        "                   if name.startswith('nasharcs.') and type(m) is types.ModuleType))\n"
+    )
+    out = [] if argv == ["--help"] else ["--out", str(tmp_path / "out.json")]
+    assert _probe(probe, *argv, *out).splitlines()[-1] == f"0 {layers!r}"
