@@ -5,7 +5,8 @@ and weight-2 bamboo graphs, and the embedding of a minimal graph into a
 non-singular supergraph by attaching weight-1 vertices along a chosen
 bamboo.  `certify_minimal` ties these together into a full certificate
 for every ordered divisor pair: each pair is proven by its relation on
-the bamboo's A_m quotient once the supergraph is checked to blow down.
+the A_m quotient of its own decomposition, read while the pair is
+written, once every leaf's supergraph is checked to blow down.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .graph import (
     cached_on_graph,
     dot_quote,
     graph_is_negative_definite,
+    rooted,
     serialize_graph,
 )
 from .order import an_relation, relation_matrix
@@ -93,9 +95,9 @@ class DecompositionCertificate(NamedTuple):
     path piece from z_1, and the designated piece runs through both x
     and y.  `m` is the length of the bamboo, the A_m quotient the pair
     is pulled back from, and `positions` are the 1-based places of x
-    and y along the bamboo.  `attached` and `pieces` are the leaf
-    embedding's own, shared by every decomposition from the same z_1:
-    they must not be mutated.
+    and y along the bamboo.  `attached` and `pieces` are shared by every
+    decomposition from the same z_1, and `bamboo` by every one from z_1
+    to the same z_2; `attached` must not be mutated.
     """
 
     graph: WeightedDualGraph
@@ -114,7 +116,8 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
     """Attach weight-1 vertices for the starting leaf z1, once per leaf.
 
     Returns the part of a bamboo decomposition fixed by z1: the
-    supergraph, the count attached to each vertex, the pieces and the
+    supergraph, the count attached to each vertex, the pieces, the index
+    of the first piece through each vertex a piece passes, and the
     supergraph's contraction.  Counts use weight and valence in g
     itself.  The k-th vertex attached to v is named "{v}+{k}" unless
     that id is taken, in which case the next free suffix is used.  Each
@@ -131,12 +134,16 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
     taken = set(g.ids)
     attached: dict[str, int] = {}
     pieces: list[tuple[str, ...]] = []
+    first: dict[int, int] = {}
     for v, vid in enumerate(g.ids):
         w, val = g.weights[v], g.valence(v)
         count = max(w - val - 1, 0) if v == z1 else w - val
         attached[vid] = count
         if count:
-            trunk = tuple(g.ids[u] for u in g.path(z1, v))
+            path = g.path(z1, v)
+            trunk = tuple(g.ids[u] for u in path)
+            for u in path:
+                first.setdefault(u, len(pieces))
         suffix = 1
         for _ in range(count):
             while f"{vid}+{suffix}" in taken:
@@ -149,71 +156,69 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
             pieces.append(trunk + (aux_id,))
     weights = g.weights + (1,) * (len(ids) - g.n)
     supergraph = WeightedDualGraph(zip(ids, weights), edges, auxiliary=True)
-    return supergraph, attached, tuple(pieces), contracts_to_empty(supergraph)
+    return supergraph, attached, tuple(pieces), first, contracts_to_empty(supergraph)
+
+
+@cached_on_graph
+def _bamboo(g: WeightedDualGraph, z1: int, z2: int) -> tuple[str, ...]:
+    """The ids of the tree path from z1 to z2, once per pair of leaves."""
+    return tuple(g.ids[v] for v in g.path(z1, z2))
+
+
+@cached_on_graph
+def _positions(g: WeightedDualGraph, px: int, py: int) -> tuple[int, int]:
+    """(px, py), one tuple per graph: the report writer keeps each int array it renders."""
+    return px, py
 
 
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
     """Bamboo decomposition of a minimal graph through the vertices x and y.
 
     The supergraph, its pieces and its contraction depend only on the
-    starting leaf z_1 and are built once per leaf of g.
+    starting leaf z_1 and are built once per leaf of g; the bamboo is
+    built once per pair of leaves z_1, z_2.
     """
     if x == y:
         raise SameVertex("decomposition needs two distinct vertices")
     if not is_minimal(g):
         raise NotMinimal("bamboo decomposition requires a minimal graph")
     xi, yi = g.index_of(x), g.index_of(y)
-
-    core = g.path(xi, yi)
-    head: list[int] = []
-    tail: list[int] = []
-    for walk, prev, v in ((head, core[1], core[0]), (tail, core[-2], core[-1])):
-        # prolong beyond v, away from prev, by smallest-index neighbours to a leaf
+    ends = []
+    for v, toward in ((xi, yi), (yi, xi)):
+        # prolong beyond v, away from `toward`, by smallest-index neighbours to a leaf
+        prev = rooted(g, toward)[1][v]
         while g.valence(v) > 1:
             nbrs = g.adj[v]
             prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
-            walk.append(v)
-    bamboo = head[::-1] + list(core) + tail
-    supergraph, attached, pieces, contraction = _leaf_embedding(g, bamboo[0])
-    # a path from z_1 through y has y at y's bamboo index, and x before it;
-    # z_2 is a leaf of g, so it carries a weight-1 vertex and such a piece exists
-    py = len(head) + len(core)
-    designated = next(k for k, p in enumerate(pieces) if p[py - 1 : py] == (y,))
-
+        ends.append(v)
+    bamboo = _bamboo(g, *ends)
+    supergraph, attached, pieces, first, contraction = _leaf_embedding(g, ends[0])
+    # z_2 is a leaf of g beyond y, so it carries a weight-1 vertex and a
+    # piece runs through y
     return DecompositionCertificate(
         graph=g,
         supergraph=supergraph,
-        bamboo=tuple(g.ids[v] for v in bamboo),
+        bamboo=bamboo,
         attached=attached,
         pieces=pieces,
-        designated=designated,
+        designated=first[yi],
         m=len(bamboo),
-        positions=(len(head) + 1, py),
+        positions=_positions(g, bamboo.index(x) + 1, bamboo.index(y) + 1),
         contraction=contraction,
     )
-
-
-class BambooEvidence(NamedTuple):
-    """What a decomposition through two vertices proves their pair with:
-    its own tuples, shared by both orders of the pair and copied nowhere."""
-
-    bamboo: tuple[str, ...]
-    positions: tuple[int, int]
-    piece: tuple[str, ...]  # the designated piece, as held by the leaf embedding
 
 
 class Certificate(NamedTuple):
     """Proof that closure(N_alpha) is not in closure(N_beta), for every
     ordered pair of a minimal graph.
 
-    `bamboos[i][j - i - 1]` is the bamboo evidence of the vertices i < j,
-    and ray column `rays[b]` is the order witness of every pair (a, b).
-    Each pair's evidence dict is made when it is asked for.
+    Ray column `rays[b]` is the order witness of every pair (a, b).
+    Each pair's evidence dict is made when it is asked for, from the
+    decomposition through its two vertices.
     """
 
     graph: WeightedDualGraph
     rays: tuple[Cycle, ...]
-    bamboos: tuple[tuple[BambooEvidence, ...], ...]
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """Every ordered pair (alpha, beta) of vertex ids, in sorted order."""
@@ -221,19 +226,17 @@ class Certificate(NamedTuple):
         return ((a, b) for a in ids for b in ids if a != b)
 
     def evidence(self, alpha: str, beta: str) -> dict[str, Any]:
-        a, b = self.graph.index[alpha], self.graph.index[beta]
-        if a == b:
-            raise SameVertex("a certificate proves pairs of distinct vertices")
+        g = self.graph
+        a, b = g.index[alpha], g.index[beta]
         lo, hi = (a, b) if a < b else (b, a)
-        ev = self.bamboos[lo][hi - lo - 1]
-        m = len(ev.bamboo)
-        px, py = ev.positions
-        rel = an_relation(m, px - 1, py - 1)
+        cert = decompose_minimal(g, g.ids[lo], g.ids[hi])
+        px, py = cert.positions
+        rel = an_relation(cert.m, px - 1, py - 1)
         return {
-            "bamboo": ev.bamboo,
-            "quotient": f"A_{m}",
-            "positions": ev.positions,
-            "designated_piece": ev.piece,
+            "bamboo": cert.bamboo,
+            "quotient": f"A_{cert.m}",
+            "positions": cert.positions,
+            "designated_piece": cert.pieces[cert.designated],
             "supergraph_contracts": True,
             "witness_ij": rel.witness_ij,
             "witness_ji": rel.witness_ji,
@@ -247,11 +250,13 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     Each unordered pair {x, y} gets a bamboo decomposition placing x and
     y on the weight-2 quotient A_m, where every pair is incomparable; the
     map onto A_m exists because the supergraph blows down, which is
-    checked.  On a minimal graph column j of the ray basis peaks strictly
-    at j (Lipman 1969), so the order criterion proves every ordered pair
-    on g as well, and each pair's evidence carries its order witness; a
-    pair without one raises `InconsistentRelation`.  Every check runs
-    here, before anything is written, so a failure leaves no report.
+    checked once per leaf of g, since the starting leaf fixes the
+    supergraph.  On a minimal graph column j of the ray basis peaks
+    strictly at j (Lipman 1969), so the order criterion proves every
+    ordered pair on g as well, and each pair's evidence carries its order
+    witness; a pair without one raises `InconsistentRelation`.  Every
+    check runs here, before anything is written, so a failure leaves no
+    report; the decompositions are made while the pairs are written.
 
     The bamboo evidence of `(alpha, beta)`, that is `bamboo`,
     `positions`, `designated_piece`, `witness_ij` and `witness_ji`, is
@@ -262,26 +267,18 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     if not is_minimal(g):
         raise NotMinimal("certification requires a minimal graph")
     rm = relation_matrix(g)
-    bamboos = []
-    for xi in range(g.n):
-        row = []
-        for yi in range(xi + 1, g.n):
-            x, y = g.ids[xi], g.ids[yi]
-            cert = decompose_minimal(g, x, y)
-            if not cert.contraction.empty:
-                raise InconsistentRelation(f"supergraph for {x!r}, {y!r} does not blow down")
-            rel = rm.get(xi, yi)
-            for below, above, witness in ((x, y, rel.witness_ij), (y, x, rel.witness_ji)):
-                if witness is None:
-                    raise InconsistentRelation(f"no order witness for {below!r} below {above!r}")
-            row.append(BambooEvidence(cert.bamboo, cert.positions, cert.pieces[cert.designated]))
-        bamboos.append(tuple(row))
-    return Certificate(graph=g, rays=rm.rays, bamboos=tuple(bamboos))
+    for z in range(g.n):
+        if g.valence(z) == 1 and not _leaf_embedding(g, z)[-1].empty:
+            raise InconsistentRelation(f"supergraph from leaf {g.ids[z]!r} does not blow down")
+    for (i, j), rel in rm.pairs():
+        if rel.witness_ij is None:
+            raise InconsistentRelation(f"no order witness for {g.ids[i]!r} below {g.ids[j]!r}")
+    return Certificate(graph=g, rays=rm.rays)
 
 
 def serialize_certificate(c: Certificate) -> dict[str, Any]:
     """The certificate's report; "pairs" is a lazy array, each pair made
-    from the shared records while it is written."""
+    from its decomposition while it is written."""
     # certify_minimal proves every pair by both rules or raises, so each
     # pair is "Proven" and none is open; the report keeps both fields
     return {

@@ -3,15 +3,17 @@
 Deliberately naive implementations (dense intersection matrices,
 cofactor and `Fraction` Gaussian determinants, the Sylvester check,
 exhaustive anti-nef enumeration, a scan of every ray column for an order
-witness, `Fraction` power series) that share no
-code path with the package's own algorithms.  Nothing here imports package code at
-run time; graphs are only read through their public fields.
+witness, a walk of the x-y path for a bamboo decomposition, `Fraction`
+power series) that share no code path with the package's own
+algorithms.  Nothing here imports package code at run time; graphs are
+only read through their public fields.
 """
 from __future__ import annotations
 
 import random
 import re
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -215,6 +217,53 @@ def exhaustive_contraction_orders(weight: dict[str, int], adj: dict[str, set[str
         if exhaustive_contraction_orders(w2, a2):
             return True
     return False
+
+
+def _tree_path(adj: Sequence[Sequence[int]], i: int, j: int) -> list[int]:
+    """The tree path from i to j, by breadth-first parents from i."""
+    parent = {i: i}
+    queue = [i]
+    for v in queue:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    out = [j]
+    while out[-1] != i:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+@lru_cache(maxsize=None)
+def _walk_pieces(
+    adj: tuple[tuple[int, ...], ...], weights: tuple[int, ...], z1: int
+) -> tuple[tuple[int, ...], ...]:
+    """The pieces from z1 without their attached vertices: the path from
+    z1 to each vertex, once per weight-1 vertex attached to it."""
+    pieces = []
+    for v, w in enumerate(weights):
+        count = max(w - len(adj[v]) - 1, 0) if v == z1 else w - len(adj[v])
+        pieces += [tuple(_tree_path(adj, z1, v))] * count
+    return tuple(pieces)
+
+
+def decompose_by_walk(g: WeightedDualGraph, x: str, y: str) -> tuple:
+    """(bamboo, positions, designated, m) of the bamboo decomposition
+    through x and y, by walking: the x-y tree path, prolonged beyond each
+    end by smallest-index neighbours to a leaf, and a scan of the pieces
+    from z_1 for the first with y at y's bamboo position."""
+    core = _tree_path(g.adj, g.ids.index(x), g.ids.index(y))
+    head: list[int] = []
+    tail: list[int] = []
+    for walk, prev, v in ((head, core[1], core[0]), (tail, core[-2], core[-1])):
+        while len(g.adj[v]) > 1:
+            prev, v = v, min(u for u in g.adj[v] if u != prev)
+            walk.append(v)
+    bamboo = head[::-1] + core + tail
+    py = len(head) + len(core)
+    pieces = _walk_pieces(g.adj, g.weights, bamboo[0])
+    designated = next(k for k, p in enumerate(pieces) if p[py - 1 : py] == (core[-1],))
+    return tuple(g.ids[v] for v in bamboo), (len(head) + 1, py), designated, len(bamboo)
 
 
 def graph_state(g: WeightedDualGraph) -> tuple[dict[str, int], dict[str, set[str]]]:

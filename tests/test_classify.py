@@ -26,7 +26,7 @@ from nasharcs.graph import LazyArray, WeightedDualGraph, parse_graph, serialize_
 from nasharcs.order import NashRelation, RelationMatrix, an_relation, relation_matrix
 
 from builders import e6_graph
-from oracles import dot_ids, exhaustive_contraction_orders, graph_state
+from oracles import decompose_by_walk, dot_ids, exhaustive_contraction_orders, graph_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -157,7 +157,7 @@ def test_leaf_supergraphs_blow_down_leaf_by_leaf(minimal_corpus):
         for z1 in range(g.n):
             if g.valence(z1) > 1:
                 continue
-            supergraph, _, _, contraction = classify._leaf_embedding(g, z1)
+            supergraph, _, _, _, contraction = classify._leaf_embedding(g, z1)
             excess = [w - len(a) for w, a in zip(supergraph.weights, supergraph.adj)]
             assert excess == [int(v == z1) for v in range(supergraph.n)]
             assert contraction.empty
@@ -166,6 +166,18 @@ def test_leaf_supergraphs_blow_down_leaf_by_leaf(minimal_corpus):
 
 
 # ----------------------------------------------------------------- decomposition
+
+def test_decompose_matches_walk(minimal_corpus):
+    # the end leaves, the per-leaf-pair bamboo and the first piece through y
+    # give what walking the x-y path and scanning the pieces gave
+    for g in minimal_corpus + _benchmark_minimal_graphs():
+        for x in g.ids:
+            for y in g.ids:
+                if x != y:
+                    cert = decompose_minimal(g, x, y)
+                    got = (cert.bamboo, cert.positions, cert.designated, cert.m)
+                    assert got == decompose_by_walk(g, x, y), (g.ids, x, y)
+
 
 def test_decompose_bamboo_endpoints():
     n = 5

@@ -346,7 +346,7 @@ def test_separation_check_matches_reference():
         assert rep["passed"] is (not bad)
 
 
-def test_separation_check_validates_truncation_only_when_sampling():
+def test_separation_check_validates_truncation():
     with pytest.raises(TruncationTooSmall):
         separation_check(3, 1, 2, samples=1, trunc=4, seed=0)
 
@@ -599,7 +599,9 @@ def test_certificate_peak_memory_is_per_pair(tmp_path, monkeypatch):
     # with two evidence dicts per unordered pair, list copies of each bamboo and
     # piece, fresh A_m witnesses per pair and then a list of report dicts, this
     # run peaked at 4.4 MB; with one record of the decomposition's own tuples
-    # per pair, and each pair's dict made while it is written, at 2.1 MB
+    # per pair, and each pair's dict made while it is written, at 2.1 MB; with
+    # no record per pair, each pair's evidence read from its decomposition
+    # while it is written and one positions tuple per place, at 1.7 MB
     path = tmp_path / "g.json"
     path.write_text(json.dumps(serialize_graph(_dominant_tree(48, 48))))
     out = tmp_path / "certify.json"

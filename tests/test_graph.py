@@ -246,7 +246,7 @@ def test_graph_fields_are_read_only(field):
 
 RECORDS = (
     "RayBasis", "NashRelation", "RelationMatrix", "BlowDownStep",
-    "ContractionTrace", "DecompositionCertificate", "BambooEvidence", "Certificate",
+    "ContractionTrace", "DecompositionCertificate", "Certificate",
     "TruncatedArc",
 )
 
@@ -263,8 +263,7 @@ def _record(name):
         "BlowDownStep": (cert.contraction.steps[0], "vertex"),
         "ContractionTrace": (cert.contraction, "empty"),
         "DecompositionCertificate": (cert, "bamboo"),
-        "BambooEvidence": (certify_minimal(g).bamboos[0][0], "bamboo"),
-        "Certificate": (certify_minimal(g), "bamboos"),
+        "Certificate": (certify_minimal(g), "rays"),
         "TruncatedArc": (sample_arc(2, 1, 4, 0), "x"),
     }[name]
 
