@@ -1,29 +1,27 @@
 """Arc-level ground truth for the weight-2 bamboo singularities z^(n+1) = x y.
 
-Samples truncated power-series arcs in each family N_i, reads the contact
-orders of the coordinates off them, checks that they satisfy the defining
-equation, and reports the coefficient separation that keeps distinct
-families out of each other's closures, which the sampler builds in.
-Everything is exact integer arithmetic: each coordinate is a tuple of
-integer numerators over its own denominator; randomness is fully seeded.
+z^(n+1) = x y is the quotient C^2 / mu_(n+1), with quotient map
+(a, b) -> (a^(n+1), b^(n+1), a b).  Arcs of each family N_i are drawn
+through it, from two seeded integer unit series a and b; the contact
+orders of the coordinates are read off them, they are checked against
+the defining equation, and the coefficient separation that keeps
+distinct families out of each other's closures is reported, which the
+sampler builds in.  Everything is exact integer arithmetic; randomness
+is fully seeded.
 """
 from __future__ import annotations
 
 import random
-from math import gcd
 from typing import Any, NamedTuple, Sequence
 
 from .errors import BadFamilyIndex, SameVertex, TruncationTooSmall
 
-Series = tuple[int, ...]  # numerator of the coefficient of t^k at index k
+Series = tuple[int, ...]  # the coefficient of t^k at index k
 
 
-# Arcs are drawn as integer series over the common denominator _SCALE.
-# The draws are _SCALE times the small rationals 1, -1, 2, -2, 3, 1/2,
-# -1/2, 2/3 used as generic coefficients, plus three zeros; leading terms
-# draw from the nonzero ones so no leading-term cancellation can occur.
-_SCALE = 6
-_NONZERO_DRAWS = (6, -6, 12, -12, 18, 3, -3, 4)
+# generic small coefficients, plus three zeros; leading terms draw from the
+# nonzero ones, so a and b are units and no leading term cancels
+_NONZERO_DRAWS = (1, -1, 2, -2, 3, -3)
 _DRAWS = _NONZERO_DRAWS + (0, 0, 0)
 
 
@@ -67,9 +65,7 @@ def _first_nonzero(a: Sequence[int]) -> int | None:
 class TruncatedArc(NamedTuple):
     """Arc of the family N_i on z^(n+1) = x y, truncated at order `trunc`.
 
-    x, y and z hold the numerators of the coefficients of t^0..t^trunc;
-    with den = (dx, dy, dz), the coefficient of t^k in x is x[k] / dx,
-    and likewise for y and z.  y and dy have no common factor.
+    x, y and z hold the integer coefficients of t^0..t^trunc.
     """
 
     n: int
@@ -78,62 +74,31 @@ class TruncatedArc(NamedTuple):
     x: Series
     y: Series
     z: Series
-    den: tuple[int, int, int]
 
 
 def sample_arc(n: int, i: int, trunc: int, seed: Any) -> TruncatedArc:
-    """Draw a generic arc of N_i: ord(x) = i, ord(z) = 1, y = z^(n+1) / x.
+    """Draw a generic arc of N_i through the quotient map: for unit series
+    a and b, x = t^i a^(n+1), y = t^(n+1-i) b^(n+1) and z = t a b.
 
-    x runs to t^(trunc+i), a little past the target order, so the
-    division giving y stays exact; z is drawn after it.
+    Every arc of N_i has this form over C (a = (x / t^i)^(1/(n+1)),
+    b = z / (t a)), so ord(x) = i, ord(y) = n+1-i, ord(z) = 1 and
+    z^(n+1) = x y hold by construction.
     """
     if not 1 <= i <= n:
         raise BadFamilyIndex(f"family index {i} not in 1..{n}")
     if trunc < n + 2:
         raise TruncationTooSmall(f"truncation {trunc} must be at least {n + 2}")
     rng = random.Random(repr(("nasharcs-arc", n, i, trunc, seed)))
-    work = trunc + i
-    x = [0] * (work + 1)
-    x[i] = rng.choice(_NONZERO_DRAWS)
-    for k in range(i + 1, work + 1):
-        x[k] = rng.choice(_DRAWS)
-    z = [0] * (work + 1)
-    z[1] = rng.choice(_NONZERO_DRAWS)
-    for k in range(2, work + 1):
-        z[k] = rng.choice(_DRAWS)
-
-    # With S = _SCALE, S x = t^i u and S z = t v, so
-    # y = z^(n+1) / x = w / (S^n u) with w = t^(n+1-i) v^(n+1).
-    lead = n + 1 - i  # >= 1
-    w = [0] * lead + _unit_pow(z[1:], n + 1, trunc - lead)
-    u = x[i:]
-    # long division w / u in integers: q[k] is u0^(k+1) times the
-    # quotient's coefficient of t^k
-    u0 = u[0]
-    u0_pow = [1]
-    for _ in range(trunc + 1):
-        u0_pow.append(u0_pow[-1] * u0)
-    q: list[int] = []
-    for k in range(trunc + 1):
-        acc = w[k] * u0_pow[k]
-        for j in range(1, k + 1):
-            if u[j]:
-                acc -= u[j] * q[k - j] * u0_pow[j - 1]
-        q.append(acc)
-    # over the one denominator u0^(trunc+1) S^n, the numerator of t^k is
-    # q[k] u0^(trunc-k); their common factor is divided out, since most
-    # draws share a factor with u0 and the residual multiplies by dy
-    y = [c * u0_pow[trunc - k] for k, c in enumerate(q)]
-    dy = u0_pow[trunc + 1] * _SCALE**n
-    g = gcd(dy, *y)
+    a = [rng.choice(_NONZERO_DRAWS)] + [rng.choice(_DRAWS) for _ in range(trunc)]
+    b = [rng.choice(_NONZERO_DRAWS)] + [rng.choice(_DRAWS) for _ in range(trunc)]
+    j = n + 1 - i  # >= 1
     return TruncatedArc(
         n=n,
         family=i,
         trunc=trunc,
-        x=tuple(x[: trunc + 1]),
-        y=tuple(c // g for c in y),
-        z=tuple(z[: trunc + 1]),
-        den=(_SCALE, dy // g, _SCALE),
+        x=(0,) * i + tuple(_unit_pow(a, n + 1, trunc - i)),
+        y=(0,) * j + tuple(_unit_pow(b, n + 1, trunc - j)),
+        z=(0,) + tuple(_int_mul(a, b, trunc - 1)),
     )
 
 
@@ -150,9 +115,10 @@ def separation_check(
 
     Every arc of N_i has a nonzero coefficient of t^i in x, while every
     arc of N_j (j > i) has that coefficient equal to zero.  `sample_arc`
-    draws x so that both hold: family i's t^i coefficient from the
-    nonzero draws, and family j's x zero below t^j.  So the report,
-    for any `samples` and `seed`, says "passed" with no
+    draws x = t^i a^(n+1) so that both hold: in family i the t^i
+    coefficient of x is a(0)^(n+1), nonzero because a(0) is drawn from
+    the nonzero draws, and in family j x is zero below t^j.  So the
+    report, for any `samples` and `seed`, says "passed" with no
     "counterexamples", and no arc is drawn for it; `samples` is the
     per-family count it echoes.  Families and truncation are checked
     as `sample_arc` checks them.
@@ -168,14 +134,12 @@ def separation_check(
 
 
 def defining_residual(arc: TruncatedArc) -> Series:
-    """z^(n+1) - x y along the arc, through t^trunc, as numerators over
-    dz^(n+1) dx dy; every one must vanish."""
-    dx, dy, dz = arc.den
+    """z^(n+1) - x y along the arc, through t^trunc; every coefficient
+    must vanish."""
     m, order = arc.n + 1, arc.trunc
     zp = [0] * (order + 1)
     k = _first_nonzero(arc.z)
     if k is not None and k * m <= order:
         zp[k * m :] = _unit_pow(arc.z[k:], m, order - k * m)
     xy = _int_mul(arc.x, arc.y, order)
-    lift = dz**m
-    return tuple(c * dx * dy - d * lift for c, d in zip(zp, xy))
+    return tuple(c - d for c, d in zip(zp, xy))

@@ -52,8 +52,8 @@ graph = _layer("graph")
 order = _layer("order")
 
 
-# longest arc series `an-arcs` will build; the cost grows much faster than
-# linearly (at n=3, one arc of 2000 terms takes about 8 times one of 1000)
+# longest arc series `an-arcs` will build; the cost grows at least
+# quadratically (at n=3, one arc of 2000 terms takes about 4 times one of 1000)
 MAX_TRUNC = 1024
 
 # most arcs `an-arcs` will sample; each costs about 0.7 ms at the default

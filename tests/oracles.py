@@ -288,10 +288,11 @@ def dot_ids(line: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # A_n arcs with truncated Fraction series: the sampler, evaluator and
-# separation check the package used before its series became integer.
+# separation check built from full products and one series division,
+# independent of the package's integer powers.
 
 # the sampler's coefficient pools, as literals; the draw order matters
-REF_NONZERO_POOL = (Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(1, 2), Q(-1, 2), Q(2, 3))
+REF_NONZERO_POOL = (Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(-3))
 REF_POOL = REF_NONZERO_POOL + (Q(0), Q(0), Q(0))
 
 
@@ -329,22 +330,19 @@ def ref_series_inverse_unit(a: Sequence[Q], order: int) -> tuple[Q, ...]:
 
 
 def ref_sample_arc(n: int, i: int, trunc: int, seed: Any) -> tuple[tuple[Q, ...], ...]:
-    """(x, y, z) of the seeded arc of N_i on z^(n+1) = x y, through t^trunc."""
+    """(x, y, z) of the seeded arc of N_i on z^(n+1) = x y, through t^trunc:
+    x = t^i a^(n+1) and z = t a b for the same seeded units a and b as the
+    package, and y = z^(n+1) / x by series division."""
     rng = random.Random(repr(("nasharcs-arc", n, i, trunc, seed)))
-    work = trunc + i
-    x = [Q(0)] * (work + 1)
-    x[i] = rng.choice(REF_NONZERO_POOL)
-    for k in range(i + 1, work + 1):
-        x[k] = rng.choice(REF_POOL)
-    z = [Q(0)] * (work + 1)
-    z[1] = rng.choice(REF_NONZERO_POOL)
-    for k in range(2, work + 1):
-        z[k] = rng.choice(REF_POOL)
-    zp = ref_series_pow(z, n + 1, work)
-    unit = tuple(x[i:])
-    shifted = tuple(zp[i:])
-    y = ref_series_mul(shifted, ref_series_inverse_unit(unit, trunc), trunc)
-    return tuple(x[: trunc + 1]), tuple(y[: trunc + 1]), tuple(z[: trunc + 1])
+    a = [rng.choice(REF_NONZERO_POOL)] + [rng.choice(REF_POOL) for _ in range(trunc)]
+    b = [rng.choice(REF_NONZERO_POOL)] + [rng.choice(REF_POOL) for _ in range(trunc)]
+    unit = ref_series_pow(a, n + 1, trunc)  # x / t^i, through t^trunc
+    x = ((Q(0),) * i + unit)[: trunc + 1]
+    z = (Q(0),) + ref_series_mul(a, b, trunc - 1)
+    # z^(n+1) through t^(trunc+i) reads z only through t^(trunc+i-n) <= t^trunc
+    zp = ref_series_pow(z, n + 1, trunc + i)
+    y = ref_series_mul(zp[i:], ref_series_inverse_unit(unit, trunc), trunc)
+    return x, y, z
 
 
 def ref_evaluate(

@@ -304,6 +304,15 @@ def test_an_arcs_truncation_above_cap_is_usage_error(argv, tmp_path, capsys):
     assert "BadParameter" in err and "1024" in err and "Traceback" not in err
 
 
+def test_an_arcs_truncation_at_cap_runs(tmp_path):
+    out = tmp_path / "o.json"
+    argv = ["an-arcs", "--n", "3", "--family", "2", "--trunc", "1024", "--samples", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["arcs"] == [{"sample": 0, "orders": {"x": 2, "y": 2, "z": 1}, "residual_zero": True}]
+    assert doc["orders_match"] is True
+
+
 @pytest.mark.parametrize("n", ["129", "1000000000"])
 def test_an_order_above_cap_exits_2_fast(n, tmp_path, capsys):
     out = tmp_path / "o.json"

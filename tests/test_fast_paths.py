@@ -298,14 +298,13 @@ def _arc_cases():
 
 
 def _values(arc) -> tuple:
-    """(x, y, z) of an arc as `Fraction` series: each numerator over its `den`."""
-    return tuple(tuple(Q(c, d) for c in s) for s, d in zip((arc.x, arc.y, arc.z), arc.den))
+    """(x, y, z) of an arc as `Fraction` series."""
+    return tuple(tuple(map(Q, s)) for s in (arc.x, arc.y, arc.z))
 
 
 def _residual_values(arc) -> tuple:
-    """`defining_residual` as `Fraction`s: its numerators over dz^(n+1) dx dy."""
-    dx, dy, dz = arc.den
-    return tuple(Q(c, dz ** (arc.n + 1) * dx * dy) for c in defining_residual(arc))
+    """`defining_residual` as `Fraction`s."""
+    return tuple(map(Q, defining_residual(arc)))
 
 
 def test_sample_arc_matches_fraction_reference():
@@ -313,14 +312,14 @@ def test_sample_arc_matches_fraction_reference():
         arc = sample_arc(n, i, trunc, seed)
         ref = ref_sample_arc(n, i, trunc, seed)
         assert _values(arc) == ref, (n, i, trunc, seed)
-        assert all(type(c) is int for c in arc.x + arc.y + arc.z + arc.den)
+        assert all(type(c) is int for c in arc.x + arc.y + arc.z)
         residual = _residual_values(arc)
         assert residual == ref_evaluate(ref, trunc, _defining(n))
         assert all(c == 0 for c in residual)
 
 
 def test_defining_residual_sees_one_changed_coefficient():
-    # adding 1 to the numerator of y[1], x[i+1] or z[2] moves z^(n+1) - x y
+    # adding 1 to the coefficient y[1], x[i+1] or z[2] moves z^(n+1) - x y
     # first at t^(i+1), t^(n+2) and t^(n+2), all within the truncation
     for n, i, trunc, seed in _arc_cases():
         arc = sample_arc(n, i, trunc, seed)
