@@ -10,6 +10,7 @@ written, once every leaf's supergraph is checked to blow down.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Any, Iterator, NamedTuple
 
 from .cycles import Cycle, fundamental_cycle, is_rational
@@ -26,8 +27,8 @@ from .graph import (
 from .order import an_relation, relation_matrix
 
 # most weight-1 vertices a bamboo decomposition may attach, counted as the
-# sum of weight minus valence: the supergraph, its blow-down and the
-# `decompose` report all grow with it
+# sum of weight minus valence: the supergraph and its blow-down grow with
+# it, and the `decompose` report with it times the depth of the tree
 MAX_ATTACHED = 4096
 
 
@@ -66,24 +67,25 @@ def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
     and blowing down a leaf lowers both at its neighbour, so a weight-1
     vertex is always a leaf, or z_1 once it is the last vertex left.
     """
-    # dicts keep insertion order across deletions, so scanning `weight`
-    # visits the vertices left by index and the first eligible is smallest
-    weight = dict(enumerate(g.weights))
+    # a vertex turns eligible only when a neighbour is blown down, so the heap
+    # holds every eligible vertex; an entry since blown down or at weight 0 is stale
+    weight = list(g.weights)
     adj = [set(a) for a in g.adj]
+    eligible = [v for v in range(g.n) if weight[v] == 1 and len(adj[v]) <= 1]
     steps: list[BlowDownStep] = []
-    while weight:
-        for v in weight:
-            if weight[v] == 1 and len(adj[v]) <= 1:
-                break
-        else:
-            return ContractionTrace(steps=tuple(steps), empty=False)
+    while eligible:
+        v = heapq.heappop(eligible)
+        if weight[v] != 1:
+            continue
         nbrs = sorted(adj[v])
         for u in nbrs:
             weight[u] -= 1
             adj[u].discard(v)
-        del weight[v]
+            if weight[u] == 1 and len(adj[u]) <= 1:
+                heapq.heappush(eligible, u)
+        weight[v] = 0
         steps.append(BlowDownStep(g.ids[v], tuple(g.ids[u] for u in nbrs)))
-    return ContractionTrace(steps=tuple(steps), empty=True)
+    return ContractionTrace(steps=tuple(steps), empty=len(steps) == g.n)
 
 
 class DecompositionCertificate(NamedTuple):
@@ -91,39 +93,42 @@ class DecompositionCertificate(NamedTuple):
 
     The bamboo is the x-y tree path prolonged to two leaves z_1, z_2 of
     the original graph; weight-1 vertices are attached per the
-    weight-minus-valence counts; each attached vertex determines one
-    path piece from z_1, and the designated piece runs through both x
-    and y.  `m` is the length of the bamboo, the A_m quotient the pair
-    is pulled back from, and `positions` are the 1-based places of x
-    and y along the bamboo.  `attached` and `pieces` are shared by every
-    decomposition from the same z_1, and `bamboo` by every one from z_1
-    to the same z_2; `attached` must not be mutated.
+    weight-minus-valence counts, and the supergraph is the only record
+    of them: attached vertex k is supergraph vertex `graph.n + k`.  It
+    closes piece k, the path from z_1 to the vertex it hangs on (see
+    `piece`), and the designated piece runs through both x and y.  `m`
+    is the length of the bamboo, the A_m quotient the pair is pulled
+    back from, and `positions` are the 1-based places of x and y along
+    the bamboo.  The supergraph is shared by every decomposition from
+    the same z_1, and `bamboo` by every one from z_1 to the same z_2.
     """
 
     graph: WeightedDualGraph
     supergraph: WeightedDualGraph
     bamboo: tuple[str, ...]
-    attached: dict[str, int]
-    pieces: tuple[tuple[str, ...], ...]
-    designated: int  # index into pieces
+    designated: int  # index of a piece
     m: int
     positions: tuple[int, int]
-    contraction: ContractionTrace
+
+    def piece(self, k: int) -> tuple[str, ...]:
+        """Piece k: the ids from z_1 to the vertex attached vertex k hangs on, then its own."""
+        g, sg = self.graph, self.supergraph
+        aux = g.n + k
+        return _path_ids(g, g.index[self.bamboo[0]], sg.adj[aux][0]) + (sg.ids[aux],)
 
 
 @cached_on_graph
-def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
+def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple[WeightedDualGraph, dict]:
     """Attach weight-1 vertices for the starting leaf z1, once per leaf.
 
     Returns the part of a bamboo decomposition fixed by z1: the
-    supergraph, the count attached to each vertex, the pieces, the index
-    of the first piece through each vertex a piece passes, and the
-    supergraph's contraction.  Counts use weight and valence in g
-    itself.  The k-th vertex attached to v is named "{v}+{k}" unless
-    that id is taken, in which case the next free suffix is used.  Each
-    attached vertex closes one piece, the path from z1 to it, in the
-    order the vertices are attached.  More than `MAX_ATTACHED` in all
-    is refused before anything is built.
+    supergraph, and the index of the first piece through each vertex a
+    piece passes.  Counts use weight and valence in g itself.  The k-th
+    vertex attached to v is named "{v}+{k}" unless that id is taken, in
+    which case the next free suffix is used.  Attached vertices follow
+    g's vertices in the supergraph, in the order they are attached,
+    which is the order of their pieces.  More than `MAX_ATTACHED` in
+    all is refused before anything is built.
     """
     surplus = sum(w - g.valence(v) for v, w in enumerate(g.weights))
     if surplus > MAX_ATTACHED:
@@ -132,18 +137,13 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
     ids = list(g.ids)
     edges = [(g.ids[i], g.ids[j]) for i, j in g.edges]
     taken = set(g.ids)
-    attached: dict[str, int] = {}
-    pieces: list[tuple[str, ...]] = []
     first: dict[int, int] = {}
     for v, vid in enumerate(g.ids):
         w, val = g.weights[v], g.valence(v)
         count = max(w - val - 1, 0) if v == z1 else w - val
-        attached[vid] = count
         if count:
-            path = g.path(z1, v)
-            trunk = tuple(g.ids[u] for u in path)
-            for u in path:
-                first.setdefault(u, len(pieces))
+            for u in g.path(z1, v):
+                first.setdefault(u, len(ids) - g.n)
         suffix = 1
         for _ in range(count):
             while f"{vid}+{suffix}" in taken:
@@ -153,16 +153,15 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple:
             suffix += 1
             edges.append((vid, aux_id))
             ids.append(aux_id)
-            pieces.append(trunk + (aux_id,))
     weights = g.weights + (1,) * (len(ids) - g.n)
     supergraph = WeightedDualGraph(zip(ids, weights), edges, auxiliary=True)
-    return supergraph, attached, tuple(pieces), first, contracts_to_empty(supergraph)
+    return supergraph, first
 
 
 @cached_on_graph
-def _bamboo(g: WeightedDualGraph, z1: int, z2: int) -> tuple[str, ...]:
-    """The ids of the tree path from z1 to z2, once per pair of leaves."""
-    return tuple(g.ids[v] for v in g.path(z1, z2))
+def _path_ids(g: WeightedDualGraph, u: int, v: int) -> tuple[str, ...]:
+    """The ids of the tree path from u to v, once per pair of vertices."""
+    return tuple(g.ids[w] for w in g.path(u, v))
 
 
 @cached_on_graph
@@ -174,9 +173,8 @@ def _positions(g: WeightedDualGraph, px: int, py: int) -> tuple[int, int]:
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
     """Bamboo decomposition of a minimal graph through the vertices x and y.
 
-    The supergraph, its pieces and its contraction depend only on the
-    starting leaf z_1 and are built once per leaf of g; the bamboo is
-    built once per pair of leaves z_1, z_2.
+    The supergraph depends only on the starting leaf z_1 and is built
+    once per leaf of g; the bamboo is built once per pair of leaves z_1, z_2.
     """
     if x == y:
         raise SameVertex("decomposition needs two distinct vertices")
@@ -191,20 +189,17 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
             nbrs = g.adj[v]
             prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
         ends.append(v)
-    bamboo = _bamboo(g, *ends)
-    supergraph, attached, pieces, first, contraction = _leaf_embedding(g, ends[0])
+    bamboo = _path_ids(g, *ends)
+    supergraph, first = _leaf_embedding(g, ends[0])
     # z_2 is a leaf of g beyond y, so it carries a weight-1 vertex and a
     # piece runs through y
     return DecompositionCertificate(
         graph=g,
         supergraph=supergraph,
         bamboo=bamboo,
-        attached=attached,
-        pieces=pieces,
         designated=first[yi],
         m=len(bamboo),
         positions=_positions(g, bamboo.index(x) + 1, bamboo.index(y) + 1),
-        contraction=contraction,
     )
 
 
@@ -236,7 +231,7 @@ class Certificate(NamedTuple):
             "bamboo": cert.bamboo,
             "quotient": f"A_{cert.m}",
             "positions": cert.positions,
-            "designated_piece": cert.pieces[cert.designated],
+            "designated_piece": cert.piece(cert.designated),
             "supergraph_contracts": True,
             "witness_ij": rel.witness_ij,
             "witness_ji": rel.witness_ji,
@@ -268,7 +263,7 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
         raise NotMinimal("certification requires a minimal graph")
     rm = relation_matrix(g)
     for z in range(g.n):
-        if g.valence(z) == 1 and not _leaf_embedding(g, z)[-1].empty:
+        if g.valence(z) == 1 and not contracts_to_empty(_leaf_embedding(g, z)[0]).empty:
             raise InconsistentRelation(f"supergraph from leaf {g.ids[z]!r} does not blow down")
     for (i, j), rel in rm.pairs():
         if rel.witness_ij is None:
@@ -300,22 +295,25 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
 
 
 def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
-    """The decomposition's report; its own tuples and `attached` dict are
-    handed to the writer, not copied, since the pieces alone hold
-    O(surplus x depth) ids."""
+    """The decomposition's report, read off the supergraph: the count
+    attached to a vertex is its valence there minus its valence in g,
+    and "pieces" is a lazy array over `cert.piece`, since the pieces
+    hold O(surplus x depth) ids but share their paths from z_1."""
+    g, sg = cert.graph, cert.supergraph
+    contraction = contracts_to_empty(sg)
     return {
-        "graph": serialize_graph(cert.graph),
-        "supergraph": serialize_graph(cert.supergraph),
+        "graph": serialize_graph(g),
+        "supergraph": serialize_graph(sg),
         "bamboo": cert.bamboo,
-        "attached": cert.attached,
-        "pieces": cert.pieces,
+        "attached": {vid: sg.valence(v) - g.valence(v) for v, vid in enumerate(g.ids)},
+        "pieces": LazyArray(lambda: map(cert.piece, range(sg.n - g.n))),
         "designated": cert.designated,
         "m": cert.m,
         "positions": cert.positions,
-        "contracts_to_empty": cert.contraction.empty,
+        "contracts_to_empty": contraction.empty,
         "contraction_steps": [
             {"vertex": s.vertex, "neighbors": list(s.neighbors)}
-            for s in cert.contraction.steps
+            for s in contraction.steps
         ],
     }
 

@@ -3,10 +3,11 @@
 Deliberately naive implementations (dense intersection matrices,
 cofactor and `Fraction` Gaussian determinants, the Sylvester check,
 exhaustive anti-nef enumeration, a scan of every ray column for an order
-witness, a walk of the x-y path for a bamboo decomposition, `Fraction`
-power series) that share no code path with the package's own
-algorithms.  Nothing here imports package code at run time; graphs are
-only read through their public fields.
+witness, a blow-down that rescans every vertex after each step, a walk
+of the x-y path for a bamboo decomposition, `Fraction` power series)
+that share no code path with the package's own algorithms.  Nothing
+here imports package code at run time; graphs are only read through
+their public fields.
 """
 from __future__ import annotations
 
@@ -217,6 +218,31 @@ def exhaustive_contraction_orders(weight: dict[str, int], adj: dict[str, set[str
         if exhaustive_contraction_orders(w2, a2):
             return True
     return False
+
+
+def contract_by_rescan(g: WeightedDualGraph) -> tuple[tuple, bool]:
+    """(steps, empty) of the greedy leaf blow-down, each step a (vertex id,
+    neighbour ids) pair, by scanning the vertices left from the smallest
+    index after every blow-down for the first weight-1 vertex with at most
+    one neighbour."""
+    # dicts keep insertion order across deletions, so scanning `weight`
+    # visits the vertices left by index and the first eligible is smallest
+    weight = dict(enumerate(g.weights))
+    adj = [set(a) for a in g.adj]
+    steps = []
+    while weight:
+        for v in weight:
+            if weight[v] == 1 and len(adj[v]) <= 1:
+                break
+        else:
+            return tuple(steps), False
+        nbrs = sorted(adj[v])
+        for u in nbrs:
+            weight[u] -= 1
+            adj[u].discard(v)
+        del weight[v]
+        steps.append((g.ids[v], tuple(g.ids[u] for u in nbrs)))
+    return tuple(steps), True
 
 
 def _tree_path(adj: Sequence[Sequence[int]], i: int, j: int) -> list[int]:

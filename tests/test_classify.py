@@ -157,7 +157,8 @@ def test_leaf_supergraphs_blow_down_leaf_by_leaf(minimal_corpus):
         for z1 in range(g.n):
             if g.valence(z1) > 1:
                 continue
-            supergraph, _, _, _, contraction = classify._leaf_embedding(g, z1)
+            supergraph, _ = classify._leaf_embedding(g, z1)
+            contraction = contracts_to_empty(supergraph)
             excess = [w - len(a) for w, a in zip(supergraph.weights, supergraph.adj)]
             assert excess == [int(v == z1) for v in range(supergraph.n)]
             assert contraction.empty
@@ -183,28 +184,30 @@ def test_decompose_bamboo_endpoints():
     n = 5
     g = an_graph(n)
     cert = decompose_minimal(g, "E1", f"E{n}")
+    doc = serialize_decomposition(cert)
     assert cert.bamboo == tuple(f"E{k}" for k in range(1, n + 1))
     # one weight-1 vertex at the far end, none at z_1, none inside
-    assert cert.attached == {"E1": 0, "E2": 0, "E3": 0, "E4": 0, "E5": 1}
-    assert len(cert.pieces) == 1
+    assert doc["attached"] == {"E1": 0, "E2": 0, "E3": 0, "E4": 0, "E5": 1}
+    assert len(list(doc["pieces"])) == 1
     assert cert.designated == 0
     assert cert.m == n
     assert cert.positions == (1, n)
-    assert cert.contraction.empty
+    assert doc["contracts_to_empty"]
 
 
 def test_decompose_bamboo_322():
     g = bamboo_322()
     cert = decompose_minimal(g, "v1", "v3")
+    doc = serialize_decomposition(cert)
     assert cert.bamboo == ("v1", "v2", "v3")
     # z_1 = v1 has w = 3 > valence + 1 = 2, so one vertex; v3 is a leaf
-    assert cert.attached == {"v1": 1, "v2": 0, "v3": 1}
-    assert len(cert.pieces) == 2
-    designated = cert.pieces[cert.designated]
+    assert doc["attached"] == {"v1": 1, "v2": 0, "v3": 1}
+    assert len(list(doc["pieces"])) == 2
+    designated = cert.piece(cert.designated)
     assert "v1" in designated and "v3" in designated
     assert cert.m == 3
     assert cert.positions == (1, 3)
-    assert cert.contraction.empty
+    assert doc["contracts_to_empty"]
 
 
 def test_decompose_e6_rejected():
@@ -222,9 +225,10 @@ def test_decompose_invariants_on_corpus(minimal_corpus):
         for xi in range(g.n):
             for yi in range(xi + 1, g.n):
                 cert = decompose_minimal(g, g.ids[xi], g.ids[yi])
-                assert cert.contraction.empty
-                assert len(cert.pieces) == sum(cert.attached.values())
-                designated = cert.pieces[cert.designated]
+                doc = serialize_decomposition(cert)
+                assert doc["contracts_to_empty"]
+                assert len(list(doc["pieces"])) == sum(doc["attached"].values())
+                designated = cert.piece(cert.designated)
                 assert g.ids[xi] in designated and g.ids[yi] in designated
                 px, py = cert.positions
                 assert 1 <= px < py <= cert.m
@@ -234,7 +238,7 @@ def test_decompose_invariants_on_corpus(minimal_corpus):
                     vid = g.ids[v]
                     w, val = g.weights[v], g.valence(v)
                     expected = max(w - val - 1, 0) if vid == z1 else w - val
-                    assert cert.attached[vid] == expected
+                    assert doc["attached"][vid] == expected
 
 
 def test_decomposition_serialization():

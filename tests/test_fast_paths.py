@@ -13,7 +13,7 @@ import pytest
 
 from nasharcs import arcs, classify, cli
 from nasharcs.arcs import defining_residual, sample_arc, separation_check
-from nasharcs.classify import certify_minimal, decompose_minimal
+from nasharcs.classify import certify_minimal, decompose_minimal, serialize_decomposition
 from nasharcs.cycles import integer_rays, ray_basis
 from nasharcs.errors import TruncationTooSmall
 from nasharcs.generators import an_graph
@@ -28,6 +28,7 @@ from nasharcs.graph import (
 from nasharcs.order import relation_matrix
 from builders import _tree_from_edges, graph_fields, random_tree_edges
 from oracles import (
+    contract_by_rescan,
     gaussian_determinant,
     intersection_rows,
     negative_definite_by_sylvester,
@@ -37,6 +38,7 @@ from oracles import (
     ref_series_mul,
     ref_series_pow,
 )
+from test_classify import _benchmark_minimal_graphs
 from test_golden import ARC_CASES, CASES, assert_same, golden_argv
 
 
@@ -217,16 +219,17 @@ def test_leaf_embeddings_match_per_pair_construction(minimal_corpus):
                 if xi == yi:
                     continue
                 cert = decompose_minimal(g, g.ids[xi], g.ids[yi])
+                doc = serialize_decomposition(cert)
                 got = (
                     graph_fields(cert.supergraph),
-                    cert.attached,
-                    cert.pieces,
+                    doc["attached"],
+                    tuple(doc["pieces"]),
                     cert.designated,
                     cert.m,
                     cert.positions,
                 )
                 assert got == _reference_decomposition(g, g.ids[xi], g.ids[yi])
-                assert cert.contraction.empty
+                assert doc["contracts_to_empty"]
 
 
 def test_one_contraction_per_starting_leaf(minimal_corpus, monkeypatch):
@@ -256,8 +259,60 @@ def test_decompose_long_bamboo_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cert.pieces == (g.ids + ("E3000+1",),)
+    assert tuple(serialize_decomposition(cert)["pieces"]) == (g.ids + ("E3000+1",),)
     assert peak < 8 * 2**20
+
+
+def test_decompose_keeps_no_piece():
+    # a decomposition holds its supergraph, not one z_1-path per attached
+    # vertex: on a 500-vertex path with 1023 of them, those paths alone
+    # would hold over 500 000 ids
+    n = 500
+    g = WeightedDualGraph([(f"v{k}", 1024 if k == n - 1 else 2) for k in range(n)],
+                          [(f"v{k}", f"v{k + 1}") for k in range(n - 1)])
+    tracemalloc.start()
+    try:
+        cert = decompose_minimal(g, "v0", "v1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.supergraph.n == n + 1023
+    assert cert.piece(1022) == g.ids + ("v499+1023",)
+    assert peak < 2 * 2**20
+
+
+def _auxiliary_trees():
+    """Auxiliary trees off the embedding's invariant, many of whose
+    blow-downs stop short of Empty: two joined weight-1 vertices, a
+    weight-1 vertex between two others, and seeded random trees with
+    weights 1 to 3."""
+    yield WeightedDualGraph([("a", 1), ("b", 1)], [("a", "b")], auxiliary=True)
+    yield WeightedDualGraph([("a", 2), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")],
+                            auxiliary=True)
+    rng = random.Random(26)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        ids = [f"v{k}" for k in range(n)]
+        yield WeightedDualGraph([(vid, rng.randint(1, 3)) for vid in ids],
+                                [(ids[i], ids[j]) for i, j in random_tree_edges(n, rng)],
+                                auxiliary=True)
+
+
+def test_contraction_matches_rescan(minimal_corpus):
+    # the heap of eligible vertices blows down in the order of a rescan
+    # from the smallest index after every step
+    leaf_supergraphs = (
+        classify._leaf_embedding(g, z1)[0]
+        for g in minimal_corpus + _benchmark_minimal_graphs()
+        for z1 in range(g.n)
+        if g.valence(z1) == 1
+    )
+    stuck = 0
+    for sg in (*leaf_supergraphs, *_auxiliary_trees()):
+        got = classify.contracts_to_empty(sg)
+        assert (got.steps, got.empty) == contract_by_rescan(sg), sg.ids
+        stuck += not got.empty
+    assert stuck > 50
 
 
 def test_memo_is_per_instance_and_outside_equality():

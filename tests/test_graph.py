@@ -6,7 +6,7 @@ import random
 import pytest
 
 from nasharcs.arcs import sample_arc
-from nasharcs.classify import certify_minimal, decompose_minimal
+from nasharcs.classify import certify_minimal, contracts_to_empty, decompose_minimal
 from nasharcs.cycles import ray_basis
 from nasharcs.errors import BadWeight, MalformedDocument, NotATree
 from nasharcs.generators import an_graph
@@ -260,8 +260,8 @@ def _record(name):
         "RayBasis": (ray_basis(g), "det"),
         "NashRelation": (rm.get(0, 1), "witness_ij"),
         "RelationMatrix": (rm, "rays"),
-        "BlowDownStep": (cert.contraction.steps[0], "vertex"),
-        "ContractionTrace": (cert.contraction, "empty"),
+        "BlowDownStep": (contracts_to_empty(cert.supergraph).steps[0], "vertex"),
+        "ContractionTrace": (contracts_to_empty(cert.supergraph), "empty"),
         "DecompositionCertificate": (cert, "bamboo"),
         "Certificate": (certify_minimal(g), "rays"),
         "TruncatedArc": (sample_arc(2, 1, 4, 0), "x"),
