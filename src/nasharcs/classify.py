@@ -16,7 +16,6 @@ from typing import Any, Iterator, NamedTuple
 from .cycles import Cycle, fundamental_cycle, is_rational
 from .errors import BadWeight, InconsistentRelation, NotMinimal, SameVertex
 from .graph import (
-    LazyArray,
     WeightedDualGraph,
     cached_on_graph,
     dot_quote,
@@ -124,11 +123,12 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple[WeightedDualGraph, d
     Returns the part of a bamboo decomposition fixed by z1: the
     supergraph, and the index of the first piece through each vertex a
     piece passes.  Counts use weight and valence in g itself.  The k-th
-    vertex attached to v is named "{v}+{k}" unless that id is taken, in
-    which case the next free suffix is used.  Attached vertices follow
-    g's vertices in the supergraph, in the order they are attached,
-    which is the order of their pieces.  More than `MAX_ATTACHED` in
-    all is refused before anything is built.
+    vertex attached to v is named "{v}+{k}" unless g has that id, in which
+    case the next suffix g does not have is used; the text after an id's
+    last "+" is its suffix, so ids attached to two vertices never clash.
+    Attached vertices follow g's vertices in the supergraph, in the order
+    they are attached, which is the order of their pieces.  More than
+    `MAX_ATTACHED` in all is refused before anything is built.
     """
     surplus = sum(w - g.valence(v) for v, w in enumerate(g.weights))
     if surplus > MAX_ATTACHED:
@@ -136,20 +136,18 @@ def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple[WeightedDualGraph, d
     # g keeps its indices 0..n-1; attached vertices take n, n+1, ...
     ids = list(g.ids)
     edges = [(g.ids[i], g.ids[j]) for i, j in g.edges]
-    taken = set(g.ids)
     first: dict[int, int] = {}
     for v, vid in enumerate(g.ids):
-        w, val = g.weights[v], g.valence(v)
-        count = max(w - val - 1, 0) if v == z1 else w - val
+        # z1 is a leaf of weight >= 2 on a minimal graph, so no count is negative
+        count = g.weights[v] - g.valence(v) - (v == z1)
         if count:
             for u in g.path(z1, v):
                 first.setdefault(u, len(ids) - g.n)
         suffix = 1
         for _ in range(count):
-            while f"{vid}+{suffix}" in taken:
+            while f"{vid}+{suffix}" in g.index:
                 suffix += 1
             aux_id = f"{vid}+{suffix}"
-            taken.add(aux_id)
             suffix += 1
             edges.append((vid, aux_id))
             ids.append(aux_id)
@@ -272,7 +270,7 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
 
 
 def serialize_certificate(c: Certificate) -> dict[str, Any]:
-    """The certificate's report; "pairs" is a lazy array, each pair made
+    """The certificate's report; "pairs" is a generator, each pair made
     from its decomposition while it is written."""
     # certify_minimal proves every pair by both rules or raises, so each
     # pair is "Proven" and none is open; the report keeps both fields
@@ -280,7 +278,7 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
         "graph": serialize_graph(c.graph),
         "restriction": "order relation computed over a negative-definite graph",
         "fundamental_cycle": list(fundamental_cycle(c.graph)),
-        "pairs": LazyArray(lambda: (
+        "pairs": (
             {
                 "alpha": alpha,
                 "beta": beta,
@@ -289,7 +287,7 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
                 "evidence": c.evidence(alpha, beta),
             }
             for alpha, beta in c.pairs()
-        )),
+        ),
         "open_pairs": [],
     }
 
@@ -297,7 +295,7 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
 def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
     """The decomposition's report, read off the supergraph: the count
     attached to a vertex is its valence there minus its valence in g,
-    and "pieces" is a lazy array over `cert.piece`, since the pieces
+    and "pieces" is an iterator over `cert.piece`, since the pieces
     hold O(surplus x depth) ids but share their paths from z_1."""
     g, sg = cert.graph, cert.supergraph
     contraction = contracts_to_empty(sg)
@@ -306,7 +304,7 @@ def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
         "supergraph": serialize_graph(sg),
         "bamboo": cert.bamboo,
         "attached": {vid: sg.valence(v) - g.valence(v) for v, vid in enumerate(g.ids)},
-        "pieces": LazyArray(lambda: map(cert.piece, range(sg.n - g.n))),
+        "pieces": map(cert.piece, range(sg.n - g.n)),
         "designated": cert.designated,
         "m": cert.m,
         "positions": cert.positions,
@@ -319,12 +317,12 @@ def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
 
 
 def supergraph_dot(cert: DecompositionCertificate) -> str:
-    """DOT text of the supergraph with attached weight-1 vertices highlighted."""
-    sg = cert.supergraph
-    original = set(cert.graph.ids)
+    """DOT text of the supergraph with attached weight-1 vertices, those
+    at index `graph.n` and above, highlighted."""
+    sg, n = cert.supergraph, cert.graph.n
     lines = ["graph decomposition_supergraph {"]
-    for vid, w in zip(sg.ids, sg.weights):
-        style = "" if vid in original else ", style=filled, fillcolor=lightgrey"
+    for v, (vid, w) in enumerate(zip(sg.ids, sg.weights)):
+        style = "" if v < n else ", style=filled, fillcolor=lightgrey"
         label = dot_quote(f"{vid} ({w})")
         lines.append(f"  {dot_quote(vid)} [label={label}{style}];")
     for i, j in sorted(sg.edges):

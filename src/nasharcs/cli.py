@@ -90,13 +90,13 @@ CHUNK = 1 << 16
 
 def _leaf(value: Any, nl: str, memo: dict[tuple, Any]) -> str | None:
     """JSON text of a scalar, an empty container or an array of only ints
-    or only strs; None for a lazy array and any other array or object.
+    or only strs; None for an iterator and any other array or object.
 
     `nl` is a newline plus the indent of the line `value` starts on.  An
     array is made by one `str.join`; the text of an int array is kept in
     `memo` under `(id(value), nl)`, because the pairs of a report cite the
     very same few tuples, such as ray columns, again and again.  The entry
-    holds the array with its text, so a lazy array's transient item cannot
+    holds the array with its text, so an iterator's transient item cannot
     be freed and its id reused by a later array while the memo lives.
     """
     if isinstance(value, str):
@@ -127,16 +127,17 @@ def _leaf(value: Any, nl: str, memo: dict[tuple, Any]) -> str | None:
         return None
     if isinstance(value, dict):
         return None if value else "{}"
-    if isinstance(value, graph.LazyArray):
+    if isinstance(value, Iterator):
         return None
     # a float lands here too: no report holds one
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _pieces(value: Any, nl: str, memo: dict[tuple, Any]) -> Iterator[str]:
-    """Yield json.dumps(value, indent=2, sort_keys=True) in pieces, for
-    a `value` that `_leaf` does not write in one; only a lazy array can
-    turn out empty here."""
+    """Yield json.dumps(value, indent=2, sort_keys=True, default=list) in
+    pieces, for a `value` that `_leaf` does not write in one; an iterator is
+    written as an array, item by item, and is the only value that can turn
+    out empty here."""
     inner = nl + "  "
     sep = "," + inner
     if isinstance(value, dict):
@@ -185,10 +186,11 @@ def _emit(document: dict[str, Any], out: str | None) -> None:
 
     The text goes to the file `out`, or to stdout, in writes of about
     `CHUNK` (64 Ki) characters, each gathered in one growing string, so the
-    whole report is never one string and a write holds little beside it; a
-    `LazyArray`'s items, such as the pairs and ray columns of a report, are
-    written as they are made.  Each int array object is rendered once per
-    indent, and found again by identity when a later pair cites it.
+    whole report is never one string and a write holds little beside it; an
+    iterator's items, such as the pairs and ray columns of a report, are
+    written as they are made, so the report is spent once written.  Each
+    int array object is rendered once per indent, and found again by
+    identity when a later pair cites it.
     """
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -11,11 +11,10 @@ strings of a report.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NotNegativeDefinite
 from .graph import (
-    LazyArray,
     WeightedDualGraph,
     cached_on_graph,
     graph_is_negative_definite,
@@ -136,9 +135,9 @@ def integer_rays(g: WeightedDualGraph) -> tuple[Cycle, ...]:
     return tuple(out)
 
 
-def serialize_ray_basis(rays: RayBasis) -> LazyArray:
+def serialize_ray_basis(rays: RayBasis) -> Iterator[list[str]]:
     """Columns as arrays of reduced rational strings "p/q", entry over det;
-    a lazy array, each column's strings made while it is written."""
+    an iterator, each column's strings made while it is written."""
     det = rays.det
 
     def cells(column: Cycle) -> list[str]:
@@ -148,4 +147,4 @@ def serialize_ray_basis(rays: RayBasis) -> LazyArray:
             out.append(f"{e // common}/{det // common}")
         return out
 
-    return LazyArray(lambda: map(cells, rays.columns))
+    return map(cells, rays.columns)

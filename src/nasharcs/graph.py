@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from functools import wraps
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .errors import BadWeight, MalformedDocument, NotATree
 
@@ -197,19 +197,6 @@ def cached_on_graph(fn: Callable[..., T]) -> Callable[..., T]:
         return out
 
     return wrapper
-
-
-class LazyArray:
-    """A JSON array whose items `make()` builds afresh on every iteration;
-    `cli._emit` writes each item as it is made."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make: Callable[[], Iterable[Any]]) -> None:
-        self._make = make
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._make())
 
 
 def _walk(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:

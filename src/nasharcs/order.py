@@ -23,7 +23,7 @@ from typing import Any, Iterator, NamedTuple
 
 from .cycles import Cycle, integer_rays, is_anti_nef
 from .errors import InconsistentRelation, SameVertex
-from .graph import LazyArray, WeightedDualGraph, cached_on_graph, dot_quote
+from .graph import WeightedDualGraph, cached_on_graph, dot_quote
 
 
 class Verdict(enum.Enum):
@@ -168,7 +168,7 @@ def _an_orders(m: int) -> tuple[Cycle, Cycle]:
 
 def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:
     """The table's report: "pairs" by vertex index, "non_inclusions" by id,
-    both as lazy arrays made from the table while they are written."""
+    both as generators that make each item from the table while it is written."""
     n, ids = rm.graph.n, rm.graph.ids
     by_id = sorted(range(n), key=ids.__getitem__)
 
@@ -179,8 +179,8 @@ def serialize_relation_matrix(rm: RelationMatrix) -> dict[str, Any]:
 
     return {
         "vertices": list(ids),
-        "pairs": LazyArray(lambda: (pair(i, j) for i in range(n) for j in range(n) if i != j)),
-        "non_inclusions": LazyArray(lambda: (
+        "pairs": (pair(i, j) for i in range(n) for j in range(n) if i != j),
+        "non_inclusions": (
             [ids[a], ids[b]] for a in by_id for b in by_id
-            if a != b and rm.get(a, b).witness_ij is not None)),
+            if a != b and rm.get(a, b).witness_ij is not None),
     }

@@ -4,7 +4,8 @@ Deliberately naive implementations (dense intersection matrices,
 cofactor and `Fraction` Gaussian determinants, the Sylvester check,
 exhaustive anti-nef enumeration, a scan of every ray column for an order
 witness, a blow-down that rescans every vertex after each step, a walk
-of the x-y path for a bamboo decomposition, `Fraction` power series)
+of the x-y path for a bamboo decomposition, attached-vertex names
+checked against every id taken so far, `Fraction` power series)
 that share no code path with the package's own algorithms.  Nothing
 here imports package code at run time; graphs are only read through
 their public fields.
@@ -243,6 +244,27 @@ def contract_by_rescan(g: WeightedDualGraph) -> tuple[tuple, bool]:
         del weight[v]
         steps.append((g.ids[v], tuple(g.ids[u] for u in nbrs)))
     return tuple(steps), True
+
+
+def attached_ids_by_taken_set(g: WeightedDualGraph, z1: int) -> tuple[str, ...]:
+    """The supergraph ids of the leaf embedding from z1: g's ids, then for
+    each vertex v in index order its weight minus valence attached vertices
+    (one fewer at z1), the k-th named "{v}+{k}" unless g or an earlier
+    attached vertex has that id, in which case the next free suffix."""
+    ids = list(g.ids)
+    taken = set(g.ids)
+    for v, vid in enumerate(g.ids):
+        w, val = g.weights[v], len(g.adj[v])
+        count = max(w - val - 1, 0) if v == z1 else w - val
+        suffix = 1
+        for _ in range(count):
+            while f"{vid}+{suffix}" in taken:
+                suffix += 1
+            aux_id = f"{vid}+{suffix}"
+            taken.add(aux_id)
+            suffix += 1
+            ids.append(aux_id)
+    return tuple(ids)
 
 
 def _tree_path(adj: Sequence[Sequence[int]], i: int, j: int) -> list[int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nasharcs import classify
+from nasharcs import classify, cli
 from nasharcs.classify import (
     ContractionTrace,
     certify_minimal,
@@ -22,7 +22,7 @@ from nasharcs.classify import (
 from nasharcs.cli import main
 from nasharcs.errors import InconsistentRelation, NotMinimal, SameVertex
 from nasharcs.generators import an_graph
-from nasharcs.graph import LazyArray, WeightedDualGraph, parse_graph, serialize_graph
+from nasharcs.graph import WeightedDualGraph, parse_graph, serialize_graph
 from nasharcs.order import NashRelation, RelationMatrix, an_relation, relation_matrix
 
 from builders import e6_graph
@@ -350,16 +350,13 @@ def test_order_criterion_subset_of_propagation(minimal_corpus):
 
 
 def test_certificate_pairs_are_lazy_reiterable_and_sorted(minimal_corpus):
-    # the report's pairs are made afresh on each pass, in (alpha, beta) id
-    # order; both orders of a pair share their bamboo evidence
+    # the report's pairs come in (alpha, beta) id order; both orders of a
+    # pair share their bamboo evidence
     for g in minimal_corpus:
-        pairs = serialize_certificate(certify_minimal(g))["pairs"]
-        assert isinstance(pairs, LazyArray)
-        first = list(pairs)
-        assert first == list(pairs)
-        keys = [(p["alpha"], p["beta"]) for p in first]
+        pairs = list(serialize_certificate(certify_minimal(g))["pairs"])
+        keys = [(p["alpha"], p["beta"]) for p in pairs]
         assert len(keys) == g.n * (g.n - 1) and keys == sorted(set(keys))
-        evidence = {key: p["evidence"] for key, p in zip(keys, first)}
+        evidence = {key: p["evidence"] for key, p in zip(keys, pairs)}
         for (alpha, beta), ev in evidence.items():
             other = dict(evidence[beta, alpha])
             witness = other.pop("order_witness")
@@ -370,6 +367,20 @@ def test_certificate_pairs_are_lazy_reiterable_and_sorted(minimal_corpus):
             # every pair pulled back to A_m cites the same two tuples
             up, down = an_relation(len(ev["bamboo"]), 0, 1)
             assert ev["witness_ij"] is up and ev["witness_ji"] is down
+
+
+def test_certificate_pairs_are_decomposed_while_written(minimal_corpus, monkeypatch, tmp_path):
+    # serializing decomposes nothing; writing decomposes once per ordered pair
+    calls = []
+    decompose = classify.decompose_minimal
+    monkeypatch.setattr(classify, "decompose_minimal",
+                        lambda g, x, y: calls.append((x, y)) or decompose(g, x, y))
+    for g in minimal_corpus[:10]:
+        calls.clear()
+        doc = serialize_certificate(certify_minimal(g))
+        assert calls == []
+        cli._emit(doc, str(tmp_path / "out.json"))
+        assert len(calls) == g.n * (g.n - 1)
 
 
 def test_certificate_serialization():

@@ -5,7 +5,9 @@ import json
 import random
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from fractions import Fraction as Q
+from functools import partial
 from itertools import islice
 from math import lcm
 
@@ -18,7 +20,6 @@ from nasharcs.cycles import integer_rays, ray_basis
 from nasharcs.errors import TruncationTooSmall
 from nasharcs.generators import an_graph
 from nasharcs.graph import (
-    LazyArray,
     WeightedDualGraph,
     graph_is_negative_definite,
     rooted,
@@ -28,6 +29,7 @@ from nasharcs.graph import (
 from nasharcs.order import relation_matrix
 from builders import _tree_from_edges, graph_fields, random_tree_edges
 from oracles import (
+    attached_ids_by_taken_set,
     contract_by_rescan,
     gaussian_determinant,
     intersection_rows,
@@ -315,6 +317,40 @@ def test_contraction_matches_rescan(minimal_corpus):
     assert stuck > 50
 
 
+# ids that read like attached names: whole ones ("a+1", "a+1+1"), ones with
+# no suffix ("a+", "+") or no prefix ("+1"), and "a+01", which is not "a+1"
+_PLUS_IDS = ["a", "b", "1", "a+1", "a+2", "a+1+1", "a+1+2", "b+1", "a+", "+1", "+", "a++1",
+             "a+01"]
+
+
+def test_attached_ids_match_taken_set(minimal_corpus):
+    # naming against g's ids alone gives the names a set of every id taken
+    # so far gives: "{u}+{k}" == "{v}+{j}" only when u = v and k = j
+    rng = random.Random(28)
+    graphs = list(minimal_corpus)
+    for _ in range(2000):
+        n = rng.randint(2, 7)
+        ids = rng.sample(_PLUS_IDS, n)
+        edges = random_tree_edges(n, rng)
+        valence = [sum(v in e for e in edges) for v in range(n)]
+        graphs.append(WeightedDualGraph(
+            [(vid, max(val, 2) + rng.choice((0, 0, 1, 2, 3))) for vid, val in zip(ids, valence)],
+            [(ids[i], ids[j]) for i, j in edges]))
+    skipped = 0
+    for g in graphs:
+        for z1 in range(g.n):
+            if g.valence(z1) == 1:
+                sg = classify._leaf_embedding(g, z1)[0]
+                assert sg.ids == attached_ids_by_taken_set(g, z1), (g.ids, z1)
+                rank: dict[int, int] = {}
+                for aux in range(g.n, sg.n):
+                    v = sg.adj[aux][0]
+                    rank[v] = rank.get(v, 0) + 1
+                    skipped += sg.ids[aux] != f"{g.ids[v]}+{rank[v]}"
+    # g holds the name "{v}+{k}" often enough that suffixes are skipped
+    assert skipped > 1000
+
+
 def test_memo_is_per_instance_and_outside_equality():
     a, b = an_graph(4), an_graph(4)
     ray_basis(a)
@@ -423,22 +459,31 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
 
 
-def _reports(monkeypatch, tmp_path, negdef_corpus) -> list:
-    """The documents the CLI hands to `_emit` for the golden graph cases and
-    `an-arcs` argument sets, and for `analyze` and `order` on `negdef_corpus`."""
+def _cli_document(argv: list[str], codes: tuple[int, ...]):
+    """The document `cli.main(argv)` hands to `_emit`, made afresh on each
+    call: a report's iterators are spent once it is written."""
     docs: list = []
-    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
-    for (name, command), code in CASES.items():
-        assert cli.main(golden_argv(name, command)) == code
-    for args, code in ARC_CASES.values():
-        assert cli.main(["an-arcs", *args]) == code
-    path = tmp_path / "g.json"
-    for g in negdef_corpus:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
+        assert cli.main(argv) in codes
+    (doc,) = docs
+    return doc
+
+
+def _report_makers(tmp_path, negdef_corpus) -> list:
+    """One maker of a fresh document per report the CLI writes for the golden
+    graph cases and `an-arcs` argument sets, and for `analyze` and `order`
+    on `negdef_corpus`."""
+    makers = [partial(_cli_document, golden_argv(name, command), (code,))
+              for (name, command), code in CASES.items()]
+    makers += [partial(_cli_document, ["an-arcs", *args], (code,))
+               for args, code in ARC_CASES.values()]
+    for k, g in enumerate(negdef_corpus):
+        path = tmp_path / f"g{k}.json"
         path.write_text(json.dumps(serialize_graph(g)))
-        for command in ("analyze", "order"):
-            assert cli.main([command, str(path)]) in (0, 1)
-    monkeypatch.undo()
-    return docs
+        makers += [partial(_cli_document, [command, str(path)], (0, 1))
+                   for command in ("analyze", "order")]
+    return makers
 
 
 # characters JSON escapes, lone and paired surrogates, and characters whose
@@ -478,16 +523,17 @@ def _random_documents(count: int) -> list:
     return docs
 
 
-def test_emit_matches_json_dumps(monkeypatch, tmp_path, capsys, negdef_corpus):
-    reports = _reports(monkeypatch, tmp_path, negdef_corpus)
-    assert len(reports) == len(CASES) + len(ARC_CASES) + 2 * len(negdef_corpus)
+def test_emit_matches_json_dumps(tmp_path, capsys, negdef_corpus):
+    makers = _report_makers(tmp_path, negdef_corpus)
+    assert len(makers) == len(CASES) + len(ARC_CASES) + 2 * len(negdef_corpus)
+    makers += [partial(lambda doc: doc, doc) for doc in _random_documents(500)]
     out = tmp_path / "out.json"
     capsys.readouterr()
-    for doc in reports + _random_documents(500):
-        expected = _dumps(doc)
-        cli._emit(doc, str(out))
+    for make in makers:
+        expected = _dumps(make())
+        cli._emit(make(), str(out))
         assert_same(out.read_bytes(), expected.encode("utf-8"))
-        cli._emit(doc, None)
+        cli._emit(make(), None)
         assert_same(capsys.readouterr().out, expected)
 
 
@@ -532,15 +578,13 @@ def test_emit_writes_in_bounded_chunks(monkeypatch):
     assert max(map(len, stream.writes)) < WINDOW + largest
 
 
-def test_emit_peak_memory_is_window_plus_memo(monkeypatch, tmp_path):
-    docs: list = []
-    monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
-    assert cli.main(["an-order", "--n", "100"]) == 0
-    monkeypatch.undo()
-    (doc,) = docs
+def test_emit_peak_memory_is_window_plus_memo(tmp_path):
+    argv = ["an-order", "--n", "100"]
     # the memo holds the text and a tuple copy of each distinct ray column
-    rays = {tuple(p[k]) for p in doc["pairs"] for k in ("witness_ij", "witness_ji")}
+    pairs = _cli_document(argv, (0,))["pairs"]
+    rays = {tuple(p[k]) for p in pairs for k in ("witness_ij", "witness_ji")}
     memo = sum(sys.getsizeof(json.dumps(list(r), indent=8)) + sys.getsizeof(r) for r in rays)
+    doc = _cli_document(argv, (0,))
     out = tmp_path / "an100.json"
     tracemalloc.start()
     try:
@@ -604,22 +648,25 @@ def test_emit_writes_empty_lazy_arrays_as_empty_lists(tmp_path):
     out = tmp_path / "order.json"
     assert cli.main(["order", str(path), "--out", str(out)]) == 0
     assert out.read_text() == ONE_VERTEX_ORDER.replace("VERSION", cli.__version__)
-    for doc in ({"a": LazyArray(lambda: iter(()))}, {"a": [LazyArray(list), {"b": LazyArray(list)}]}):
-        cli._emit(doc, str(out))
-        assert_same(out.read_text(), _dumps(doc))
+    for make in (lambda: {"a": iter(())},
+                 lambda: {"a": [map(str, ()), {"b": (k for k in ())}]}):
+        cli._emit(make(), str(out))
+        assert_same(out.read_text(), _dumps(make()))
 
 
 def test_emit_pins_transient_int_arrays(tmp_path):
     # each list is freed once written, so without a reference kept in the memo
     # the next list may get its id, and with it the text of the freed one
-    doc = {
-        "flat": LazyArray(lambda: ([k, k + 1] for k in range(200))),
-        "nested": LazyArray(lambda: ({"w": [k] * 3, "v": [[k], [-k]]} for k in range(200))),
-    }
+    def make() -> dict:
+        return {
+            "flat": ([k, k + 1] for k in range(200)),
+            "nested": ({"w": [k] * 3, "v": [[k], [-k]]} for k in range(200)),
+        }
+
     out = tmp_path / "out.json"
-    cli._emit(doc, str(out))
+    cli._emit(make(), str(out))
     # a transient array written with the text of an earlier one differs here
-    assert_same(out.read_text(), _dumps(doc))
+    assert_same(out.read_text(), _dumps(make()))
 
 
 def _dominant_tree(n: int, seed: int) -> WeightedDualGraph:
@@ -671,7 +718,7 @@ def test_certificate_peak_memory_is_per_pair(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
     assert cli.main(["certify-minimal", str(path)]) == 0
     (doc,) = docs
-    assert isinstance(doc["pairs"], LazyArray)
+    assert isinstance(doc["pairs"], Iterator)
     doc["pairs"] = list(doc["pairs"])
     assert len(doc["pairs"]) == 48 * 47
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -714,7 +761,7 @@ def test_analyze_report_peak_memory_is_per_column(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda doc, out: docs.append(doc))
     assert cli.main(["analyze", str(path)]) == 0
     (doc,) = docs
-    assert isinstance(doc["ray_basis"], LazyArray)
+    assert isinstance(doc["ray_basis"], Iterator)
     doc["ray_basis"] = list(doc["ray_basis"])
     doc["relation"] = {k: list(v) for k, v in doc["relation"].items()}
     assert len(doc["ray_basis"]) == 100 and len(doc["relation"]["pairs"]) == 100 * 99

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nasharcs import cli
 from nasharcs.cycles import integer_rays, is_anti_nef, ray_basis
 from nasharcs.errors import InconsistentRelation, SameVertex
 from nasharcs.generators import an_graph
@@ -246,7 +247,7 @@ def test_serialize_relation_matrix():
 
 def test_serialized_arrays_are_lazy_and_reiterable():
     # pairs by vertex index and non_inclusions by id, as sorted lists were;
-    # each iteration makes the items again
+    # each serialization makes the items again
     # E6 with ids that sort opposite to the vertex order
     name = {f"v{k}": chr(ord("g") - k) for k in range(1, 7)}
     doc = serialize_graph(e6_graph())
@@ -258,11 +259,30 @@ def test_serialized_arrays_are_lazy_and_reiterable():
     pairs = list(doc["pairs"])
     assert [(p["i"], p["j"]) for p in pairs] == [
         (g.ids[i], g.ids[j]) for (i, j), _ in sorted(rm.pairs())]
-    assert list(doc["pairs"]) == pairs and list(doc["pairs"])[0] is not pairs[0]
+    again = serialize_relation_matrix(rm)
+    second = list(again["pairs"])
+    assert second == pairs and second[0] is not pairs[0]
     proven = {p for p, rel in rm.pairs() if rel.witness_ij is not None}
     expected = sorted([g.ids[a], g.ids[b]] for a, b in proven)
-    assert list(doc["non_inclusions"]) == expected == list(doc["non_inclusions"])
+    assert list(doc["non_inclusions"]) == expected == list(again["non_inclusions"])
     assert not isinstance(doc["pairs"], (list, tuple))
+
+
+def test_relation_table_is_read_while_written(monkeypatch, tmp_path):
+    # serializing reads no pair; writing reads each ordered pair once for
+    # "pairs" and once more for "non_inclusions"
+    calls = []
+    get = RelationMatrix.get
+    monkeypatch.setattr(RelationMatrix, "get",
+                        lambda rm, i, j: calls.append((i, j)) or get(rm, i, j))
+    rng = random.Random(28)
+    for g in (e6_graph(), an_graph(6), *(random_negative_definite_graph(rng) for _ in range(5))):
+        rm = relation_matrix(g)
+        calls.clear()
+        doc = serialize_relation_matrix(rm)
+        assert calls == []
+        cli._emit(doc, str(tmp_path / "out.json"))
+        assert len(calls) == 2 * g.n * (g.n - 1)
 
 
 E6_DOT = """digraph divisor_order {
