@@ -350,8 +350,9 @@ def test_order_criterion_subset_of_propagation(minimal_corpus):
 
 
 def test_certificate_pairs_are_lazy_reiterable_and_sorted(minimal_corpus):
-    # the report's pairs come in (alpha, beta) id order; both orders of a
-    # pair share their bamboo evidence
+    # each serialization makes its pairs afresh, read once here; they come
+    # in (alpha, beta) id order and both orders of a pair share their bamboo
+    # evidence
     for g in minimal_corpus:
         pairs = list(serialize_certificate(certify_minimal(g))["pairs"])
         keys = [(p["alpha"], p["beta"]) for p in pairs]
@@ -386,8 +387,8 @@ def test_certificate_pairs_are_decomposed_while_written(minimal_corpus, monkeypa
 def test_certificate_serialization():
     doc = serialize_certificate(certify_minimal(an_graph(3)))
     assert doc["open_pairs"] == []
-    assert len(list(doc["pairs"])) == 6
-    assert all(p["status"] == "Proven" for p in doc["pairs"])
+    pairs = list(doc["pairs"])
+    assert len(pairs) == 6 and all(p["status"] == "Proven" for p in pairs)
     assert doc["fundamental_cycle"] == [1, 1, 1]
 
 

@@ -247,7 +247,8 @@ def test_serialize_relation_matrix():
 
 def test_serialized_arrays_are_lazy_and_reiterable():
     # pairs by vertex index and non_inclusions by id, as sorted lists were;
-    # each serialization makes the items again
+    # a serialized array is read once, and each serialization makes its
+    # items afresh
     # E6 with ids that sort opposite to the vertex order
     name = {f"v{k}": chr(ord("g") - k) for k in range(1, 7)}
     doc = serialize_graph(e6_graph())
