@@ -350,9 +350,9 @@ def test_order_criterion_subset_of_propagation(minimal_corpus):
 
 
 def test_certificate_pairs_are_lazy_reiterable_and_sorted(minimal_corpus):
-    # each serialization makes its pairs afresh, read once here; they come
-    # in (alpha, beta) id order and both orders of a pair share their bamboo
-    # evidence
+    # the pairs are read once ("reiterable" stays in the test id), and each
+    # serialization makes them afresh; they come in (alpha, beta) id order
+    # and both orders of a pair share their bamboo evidence
     for g in minimal_corpus:
         pairs = list(serialize_certificate(certify_minimal(g))["pairs"])
         keys = [(p["alpha"], p["beta"]) for p in pairs]

@@ -1,5 +1,10 @@
 """Byte-identity of CLI reports on a fixed corpus.
 
+Every case runs `python -m nasharcs.cli` in a fresh interpreter, as the
+benchmark starts it: `cli` is `__main__`, and each layer loads on first
+use.  Each checks the exit code, an empty stderr, the stdout bytes and,
+for a command that writes one, the `--dot` file.
+
 Each `<name>.graph.json` under data/golden has one report per command
 it was run through, `<name>.<command>.json`.  The `analyze` and
 `certify-minimal` reports were written by the CLI before the per-graph
@@ -22,15 +27,26 @@ contact order, residual or separation verdict shows up there.
 Every comparison goes through `assert_same`, so a mismatch in a large
 report fails in seconds.
 `data/golden/an-order/n6.{json,dot}` is `an-order --n 6 --dot`.
+
+Reports too large to keep as goldens are checked against their own
+`json.dumps(..., indent=2, sort_keys=True)` text, which is what
+`python -m json.tool --sort-keys --indent 2` writes.
 """
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from nasharcs.cli import main
+import nasharcs
+from nasharcs.classify import is_minimal
+from nasharcs.generators import an_graph
+from nasharcs.graph import WeightedDualGraph, graph_is_negative_definite, serialize_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -50,6 +66,30 @@ def assert_same(got: str | bytes, expected: str | bytes) -> None:
         f"got:      {got[lo:hi]!r}\nexpected: {expected[lo:hi]!r}",
         pytrace=False,
     )
+
+
+def run_cli(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """`python -m nasharcs.cli <argv>` in a fresh interpreter that imports
+    the same `nasharcs` as this process, with `env` added to its environment;
+    stdout and stderr are captured as bytes."""
+    src = str(Path(nasharcs.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "nasharcs.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, timeout=60)
+
+
+def assert_cli_writes(argv: list[str], code: int, golden: Path, dot: Path | None,
+                      tmp_path: Path) -> None:
+    """Run the CLI on `argv`, adding `--dot` when a DOT golden is given, and
+    check its exit code, an empty stderr, its stdout and its DOT file."""
+    out_dot = tmp_path / "out.dot"
+    proc = run_cli([*argv, "--dot", str(out_dot)] if dot else argv)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert_same(proc.stdout, golden.read_bytes())
+    if dot:
+        assert_same(out_dot.read_bytes(), dot.read_bytes())
+
+
 _MINIMAL = ["bamboo_322", "dn6_minimal", *(f"minimal_{k}" for k in range(5))]
 _DEFINITE = [*_MINIMAL, "e6", *(f"negdef_{k}" for k in range(4))]
 # (graph name, command) -> exit code; `order` exits 1 where pairs stay open
@@ -87,14 +127,28 @@ def golden_argv(name: str, command: str) -> list[str]:
 
 @pytest.mark.parametrize("name,command", sorted(CASES))
 def test_cli_reproduces_golden(name, command, tmp_path):
-    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
-    args = golden_argv(name, command)
-    if command in DOT_COMMANDS:
-        args += ["--dot", str(dot)]
-    assert main([*args, "--out", str(out)]) == CASES[(name, command)]
-    assert_same(out.read_bytes(), (GOLDEN / f"{name}.{command}.json").read_bytes())
-    if command in DOT_COMMANDS:
-        assert_same(dot.read_bytes(), (GOLDEN / f"{name}.{command}.dot").read_bytes())
+    dot = GOLDEN / f"{name}.{command}.dot" if command in DOT_COMMANDS else None
+    assert_cli_writes(golden_argv(name, command), CASES[(name, command)],
+                      GOLDEN / f"{name}.{command}.json", dot, tmp_path)
+
+
+def _golden(name: str, command: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.{command}.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(name for name, command in CASES if command == "analyze"
+                                        and (name, "order") in CASES))
+def test_analyze_agrees_with_order_and_certify_minimal(name):
+    """`analyze` holds the relation table of `order` and, on a minimal
+    graph, the certificate of `certify-minimal`; each is written by its
+    own command, so the goldens must agree where they state one fact."""
+    analyze = _golden(name, "analyze")
+    shared = {"graph": analyze["graph"], "header": analyze["header"]}
+    assert _golden(name, "order") == {**analyze["relation"], **shared}
+    assert ("certificate" in analyze) == ((name, "certify-minimal") in CASES)
+    if "certificate" in analyze:
+        assert _golden(name, "certify-minimal") == {**analyze["certificate"],
+                                                    "header": analyze["header"]}
 
 
 @pytest.mark.parametrize("name", _MINIMAL)
@@ -103,7 +157,7 @@ def test_certificate_evidence_orientation(name):
     (like the bamboo and its piece) belong to the unordered pair, taken in
     vertex-index order: (a, b) and (b, a) carry the same values.  Only
     `order_witness` is oriented, lower at alpha than at beta."""
-    doc = json.loads((GOLDEN / f"{name}.certify-minimal.json").read_text())
+    doc = _golden(name, "certify-minimal")
     ids = [v["id"] for v in doc["graph"]["vertices"]]
     index = {vid: k for k, vid in enumerate(ids)}
     pairs = {(p["alpha"], p["beta"]): p["evidence"] for p in doc["pairs"]}
@@ -123,10 +177,8 @@ def test_certificate_evidence_orientation(name):
 
 
 def test_an_order_reproduces_golden(tmp_path):
-    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
-    assert main(["an-order", "--n", "6", "--dot", str(dot), "--out", str(out)]) == 0
-    assert_same(out.read_bytes(), (GOLDEN / "an-order" / "n6.json").read_bytes())
-    assert_same(dot.read_bytes(), (GOLDEN / "an-order" / "n6.dot").read_bytes())
+    assert_cli_writes(["an-order", "--n", "6"], 0, GOLDEN / "an-order" / "n6.json",
+                      GOLDEN / "an-order" / "n6.dot", tmp_path)
 
 
 ARC_GOLDEN = GOLDEN / "an-arcs"
@@ -148,6 +200,57 @@ def test_arc_corpus_present():
 @pytest.mark.parametrize("name", sorted(ARC_CASES))
 def test_an_arcs_reproduces_golden(name, tmp_path):
     args, expected_code = ARC_CASES[name]
-    out = tmp_path / "out.json"
-    assert main(["an-arcs", *args, "--out", str(out)]) == expected_code
-    assert_same(out.read_bytes(), (ARC_GOLDEN / f"{name}.json").read_bytes())
+    assert_cli_writes(["an-arcs", *args], expected_code, ARC_GOLDEN / f"{name}.json", None,
+                      tmp_path)
+
+
+def _negdef_60() -> WeightedDualGraph:
+    """A seeded 60-vertex tree that is negative definite but not minimal:
+    its largest hub weighs one less than its valence."""
+    rng = random.Random(60)
+    up = [rng.randrange(k) for k in range(1, 60)]
+    val = [up.count(v) + (v > 0) for v in range(60)]
+    w = [max(v, 2) for v in val]
+    w[val.index(max(val))] -= 1
+    g = WeightedDualGraph([(f"v{k}", w[k]) for k in range(60)],
+                          [(f"v{k + 1}", f"v{u}") for k, u in enumerate(up)])
+    assert graph_is_negative_definite(g) and not is_minimal(g)
+    return g
+
+
+def _path_300() -> WeightedDualGraph:
+    """A 300-vertex path whose last weight is 400 and every other weight 2."""
+    n = 300
+    return WeightedDualGraph([(f"v{k}", 400 if k == n - 1 else 2) for k in range(n)],
+                             [(f"v{k}", f"v{k + 1}") for k in range(n - 1)])
+
+
+# name -> (command and its arguments, the graph file going second, or None)
+LARGE_CASES = {
+    # 1.8 MB, about 28 write windows; every golden is smaller than one window
+    "an-order-40": (["an-order", "--n", "40"], None),
+    # 5.5 MB, the 1560 pairs of the certificate made while they are written
+    "certify-minimal-a40": (["certify-minimal"], lambda: an_graph(40)),
+    # 10 MB, about 150 write windows, the ray basis and pair table made
+    # while they are written
+    "analyze-negdef60": (["analyze"], _negdef_60),
+    # 1.8 MB, the 399 pieces made from the supergraph while they are written
+    "decompose-path300": (["decompose", "--x", "v0", "--y", "v1"], _path_300),
+    # one vertex: the pair lists are iterators with no items
+    "order-one-vertex": (["order"], lambda: WeightedDualGraph([("E1", 2)], [])),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CASES)
+def test_large_report_is_json_dumps(name, tmp_path):
+    """A report of many write windows, written through a write-through
+    stdout, is the `json.dumps` text of itself."""
+    argv, make = LARGE_CASES[name]
+    if make:
+        path = tmp_path / "g.graph.json"
+        path.write_text(json.dumps(serialize_graph(make())))
+        argv = [argv[0], str(path), *argv[1:]]
+    proc = run_cli(argv, PYTHONUNBUFFERED="1")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    expected = json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n"
+    assert_same(proc.stdout, expected.encode("utf-8"))

@@ -1,4 +1,5 @@
-"""The benchmark's trace driver still finds and reads what it traces."""
+"""The benchmark's trace driver still finds and reads what it traces, and
+its checker still flags corrupted reports."""
 from __future__ import annotations
 
 import json
@@ -65,3 +66,12 @@ def test_trace_driver_runs_every_workload_command(argv, recorded, tmp_path):
     assert doc["missing"] == []
     names = {span[0] for span in doc["spans"]}
     assert all(name in names for name in recorded)
+
+
+def test_benchmark_self_test_passes():
+    # runs the first job of each workload through the real CLI, then checks
+    # that the benchmark's checker flags each corrupted copy of its report
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test passed"
