@@ -11,6 +11,7 @@ written, once every leaf's supergraph is checked to blow down.
 from __future__ import annotations
 
 import heapq
+from itertools import count, islice
 from typing import Any, Iterator, NamedTuple
 
 from .cycles import Cycle, fundamental_cycle, is_rational
@@ -26,8 +27,8 @@ from .graph import (
 from .order import an_relation, relation_matrix
 
 # most weight-1 vertices a bamboo decomposition may attach, counted as the
-# sum of weight minus valence: the supergraph and its blow-down grow with
-# it, and the `decompose` report with it times the depth of the tree
+# sum of weight minus valence: each supergraph built and blown down grows
+# with it, and the `decompose` report with it times the depth of the tree
 MAX_ATTACHED = 4096
 
 
@@ -61,7 +62,7 @@ class ContractionTrace(NamedTuple):
 def contracts_to_empty(g: WeightedDualGraph) -> ContractionTrace:
     """Greedy blow-down of weight-1 leaves (or a lone vertex), smallest index first.
 
-    Leaves are enough for the supergraphs `_leaf_embedding` builds:
+    Leaves are enough for the supergraphs `_supergraph` builds:
     there weight - valence is 0 at every vertex but z_1, where it is 1,
     and blowing down a leaf lowers both at its neighbour, so a weight-1
     vertex is always a leaf, or z_1 once it is the last vertex left.
@@ -92,68 +93,61 @@ class DecompositionCertificate(NamedTuple):
 
     The bamboo is the x-y tree path prolonged to two leaves z_1, z_2 of
     the original graph; weight-1 vertices are attached per the
-    weight-minus-valence counts, and the supergraph is the only record
-    of them: attached vertex k is supergraph vertex `graph.n + k`.  It
-    closes piece k, the path from z_1 to the vertex it hangs on (see
-    `piece`), and the designated piece runs through both x and y.  `m`
-    is the length of the bamboo, the A_m quotient the pair is pulled
-    back from, and `positions` are the 1-based places of x and y along
-    the bamboo.  The supergraph is shared by every decomposition from
-    the same z_1, and `bamboo` by every one from z_1 to the same z_2.
+    weight-minus-valence counts, each closing a piece, the path from z_1
+    to the vertex it hangs on.  `designated_piece` is the first piece
+    through both x and y, and `designated` its index; no supergraph is
+    kept.  `m` is the length of the bamboo, the A_m quotient the pair is
+    pulled back from, and `positions` are x's and y's 1-based places on it.
     """
 
     graph: WeightedDualGraph
-    supergraph: WeightedDualGraph
     bamboo: tuple[str, ...]
     designated: int  # index of a piece
+    designated_piece: tuple[str, ...]
     m: int
     positions: tuple[int, int]
 
-    def piece(self, k: int) -> tuple[str, ...]:
-        """Piece k: the ids from z_1 to the vertex attached vertex k hangs on, then its own."""
-        g, sg = self.graph, self.supergraph
-        aux = g.n + k
-        return _path_ids(g, g.index[self.bamboo[0]], sg.adj[aux][0]) + (sg.ids[aux],)
+
+def _attached(g: WeightedDualGraph, z1: int) -> Iterator[tuple[int, str]]:
+    """(v, id) of each weight-1 vertex attached for the leaf z1, in order:
+    weight minus valence in g of them at v, less one at z1, named "{v}+{k}"
+    for k = 1, 2, ... skipping every id g has, so ids attached to two
+    vertices never clash (the text after an id's last "+" is its suffix).
+    More than `MAX_ATTACHED` in all is refused before any is named."""
+    if sum(w - g.valence(v) for v, w in enumerate(g.weights)) > MAX_ATTACHED:
+        raise BadWeight(f"weights exceed valences by more than {MAX_ATTACHED} in all")
+    for v, vid in enumerate(g.ids):
+        names = (name for name in (f"{vid}+{k}" for k in count(1)) if name not in g.index)
+        # z1 is a leaf of weight >= 2 on a minimal graph, so no count is negative
+        for name in islice(names, g.weights[v] - g.valence(v) - (v == z1)):
+            yield v, name
+
+
+def _supergraph(g: WeightedDualGraph, z1: int) -> WeightedDualGraph:
+    """g with the weight-1 vertices for the leaf z1 attached, built anew
+    on each call: attached vertex k, which closes piece k, is vertex `g.n + k`."""
+    vertices = list(zip(g.ids, g.weights))
+    edges = [(g.ids[i], g.ids[j]) for i, j in g.edges]
+    for v, name in _attached(g, z1):
+        vertices.append((name, 1))
+        edges.append((g.ids[v], name))
+    return WeightedDualGraph(vertices, edges, auxiliary=True)
 
 
 @cached_on_graph
-def _leaf_embedding(g: WeightedDualGraph, z1: int) -> tuple[WeightedDualGraph, dict]:
-    """Attach weight-1 vertices for the starting leaf z1, once per leaf.
-
-    Returns the part of a bamboo decomposition fixed by z1: the
-    supergraph, and the index of the first piece through each vertex a
-    piece passes.  Counts use weight and valence in g itself.  The k-th
-    vertex attached to v is named "{v}+{k}" unless g has that id, in which
-    case the next suffix g does not have is used; the text after an id's
-    last "+" is its suffix, so ids attached to two vertices never clash.
-    Attached vertices follow g's vertices in the supergraph, in the order
-    they are attached, which is the order of their pieces.  More than
-    `MAX_ATTACHED` in all is refused before anything is built.
-    """
-    surplus = sum(w - g.valence(v) for v, w in enumerate(g.weights))
-    if surplus > MAX_ATTACHED:
-        raise BadWeight(f"weights exceed valences by more than {MAX_ATTACHED} in all")
-    # g keeps its indices 0..n-1; attached vertices take n, n+1, ...
-    ids = list(g.ids)
-    edges = [(g.ids[i], g.ids[j]) for i, j in g.edges]
-    first: dict[int, int] = {}
-    for v, vid in enumerate(g.ids):
-        # z1 is a leaf of weight >= 2 on a minimal graph, so no count is negative
-        count = g.weights[v] - g.valence(v) - (v == z1)
-        if count:
-            for u in g.path(z1, v):
-                first.setdefault(u, len(ids) - g.n)
-        suffix = 1
-        for _ in range(count):
-            while f"{vid}+{suffix}" in g.index:
-                suffix += 1
-            aux_id = f"{vid}+{suffix}"
-            suffix += 1
-            edges.append((vid, aux_id))
-            ids.append(aux_id)
-    weights = g.weights + (1,) * (len(ids) - g.n)
-    supergraph = WeightedDualGraph(zip(ids, weights), edges, auxiliary=True)
-    return supergraph, first
+def _first_pieces(g: WeightedDualGraph, z1: int) -> dict[int, tuple[int, tuple[str, ...]]]:
+    """Each vertex a piece from the leaf z1 passes -> the index and ids of
+    the first piece through it, once per leaf.  A later piece through v
+    runs through every vertex from z1 to v, so only v's first attached
+    vertex can close a first piece."""
+    first: dict[int, tuple[int, tuple[str, ...]]] = {}
+    for k, (v, name) in enumerate(_attached(g, z1)):
+        if v not in first:
+            path = g.path(z1, v)
+            piece = (k, tuple(g.ids[u] for u in path) + (name,))
+            for u in path:
+                first.setdefault(u, piece)
+    return first
 
 
 @cached_on_graph
@@ -171,8 +165,8 @@ def _positions(g: WeightedDualGraph, px: int, py: int) -> tuple[int, int]:
 def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCertificate:
     """Bamboo decomposition of a minimal graph through the vertices x and y.
 
-    The supergraph depends only on the starting leaf z_1 and is built
-    once per leaf of g; the bamboo is built once per pair of leaves z_1, z_2.
+    The first pieces through each vertex are found once per starting
+    leaf z_1, and the bamboo once per pair of leaves z_1, z_2.
     """
     if x == y:
         raise SameVertex("decomposition needs two distinct vertices")
@@ -188,14 +182,14 @@ def decompose_minimal(g: WeightedDualGraph, x: str, y: str) -> DecompositionCert
             prev, v = v, nbrs[1] if nbrs[0] == prev else nbrs[0]
         ends.append(v)
     bamboo = _path_ids(g, *ends)
-    supergraph, first = _leaf_embedding(g, ends[0])
     # z_2 is a leaf of g beyond y, so it carries a weight-1 vertex and a
     # piece runs through y
+    designated, piece = _first_pieces(g, ends[0])[yi]
     return DecompositionCertificate(
         graph=g,
-        supergraph=supergraph,
         bamboo=bamboo,
-        designated=first[yi],
+        designated=designated,
+        designated_piece=piece,
         m=len(bamboo),
         positions=_positions(g, bamboo.index(x) + 1, bamboo.index(y) + 1),
     )
@@ -229,7 +223,7 @@ class Certificate(NamedTuple):
             "bamboo": cert.bamboo,
             "quotient": f"A_{cert.m}",
             "positions": cert.positions,
-            "designated_piece": cert.piece(cert.designated),
+            "designated_piece": cert.designated_piece,
             "supergraph_contracts": True,
             "witness_ij": rel.witness_ij,
             "witness_ji": rel.witness_ji,
@@ -244,12 +238,13 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
     y on the weight-2 quotient A_m, where every pair is incomparable; the
     map onto A_m exists because the supergraph blows down, which is
     checked once per leaf of g, since the starting leaf fixes the
-    supergraph.  On a minimal graph column j of the ray basis peaks
-    strictly at j (Lipman 1969), so the order criterion proves every
-    ordered pair on g as well, and each pair's evidence carries its order
-    witness; a pair without one raises `InconsistentRelation`.  Every
-    check runs here, before anything is written, so a failure leaves no
-    report; the decompositions are made while the pairs are written.
+    supergraph, built for the check and dropped.  On a minimal graph
+    column j of the ray basis peaks strictly at j (Lipman 1969), so the
+    order criterion proves every ordered pair on g as well, and each
+    pair's evidence carries its order witness; a pair without one raises
+    `InconsistentRelation`.  Every check runs here, before anything is
+    written, so a failure leaves no report; the decompositions are made
+    while the pairs are written.
 
     The bamboo evidence of `(alpha, beta)`, that is `bamboo`,
     `positions`, `designated_piece`, `witness_ij` and `witness_ji`, is
@@ -261,7 +256,7 @@ def certify_minimal(g: WeightedDualGraph) -> Certificate:
         raise NotMinimal("certification requires a minimal graph")
     rm = relation_matrix(g)
     for z in range(g.n):
-        if g.valence(z) == 1 and not contracts_to_empty(_leaf_embedding(g, z)[0]).empty:
+        if g.valence(z) == 1 and not contracts_to_empty(_supergraph(g, z)).empty:
             raise InconsistentRelation(f"supergraph from leaf {g.ids[z]!r} does not blow down")
     for (i, j), rel in rm.pairs():
         if rel.witness_ij is None:
@@ -293,18 +288,20 @@ def serialize_certificate(c: Certificate) -> dict[str, Any]:
 
 
 def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
-    """The decomposition's report, read off the supergraph: the count
-    attached to a vertex is its valence there minus its valence in g,
-    and "pieces" is an iterator over `cert.piece`, since the pieces
-    hold O(surplus x depth) ids but share their paths from z_1."""
-    g, sg = cert.graph, cert.supergraph
+    """The decomposition's report, read off the supergraph it builds: the
+    count attached to a vertex is its valence there minus its valence in
+    g, and "pieces" is an iterator, since the pieces hold O(surplus x
+    depth) ids but share their paths from z_1."""
+    g = cert.graph
+    z1 = g.index[cert.bamboo[0]]
+    sg = _supergraph(g, z1)
     contraction = contracts_to_empty(sg)
     return {
         "graph": serialize_graph(g),
         "supergraph": serialize_graph(sg),
         "bamboo": cert.bamboo,
         "attached": {vid: sg.valence(v) - g.valence(v) for v, vid in enumerate(g.ids)},
-        "pieces": map(cert.piece, range(sg.n - g.n)),
+        "pieces": (_path_ids(g, z1, sg.adj[k][0]) + (sg.ids[k],) for k in range(g.n, sg.n)),
         "designated": cert.designated,
         "m": cert.m,
         "positions": cert.positions,
@@ -317,12 +314,13 @@ def serialize_decomposition(cert: DecompositionCertificate) -> dict[str, Any]:
 
 
 def supergraph_dot(cert: DecompositionCertificate) -> str:
-    """DOT text of the supergraph with attached weight-1 vertices, those
-    at index `graph.n` and above, highlighted."""
-    sg, n = cert.supergraph, cert.graph.n
+    """DOT text of the supergraph, built here, with attached weight-1
+    vertices, those at index `graph.n` and above, highlighted."""
+    g = cert.graph
+    sg = _supergraph(g, g.index[cert.bamboo[0]])
     lines = ["graph decomposition_supergraph {"]
     for v, (vid, w) in enumerate(zip(sg.ids, sg.weights)):
-        style = "" if v < n else ", style=filled, fillcolor=lightgrey"
+        style = "" if v < g.n else ", style=filled, fillcolor=lightgrey"
         label = dot_quote(f"{vid} ({w})")
         lines.append(f"  {dot_quote(vid)} [label={label}{style}];")
     for i, j in sorted(sg.edges):

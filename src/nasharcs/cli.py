@@ -268,10 +268,10 @@ def cmd_certify_minimal(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     cert = classify.decompose_minimal(g, args.x, args.y)
+    if args.dot:  # before the report, so one supergraph is alive at a time
+        _write_dot(classify.supergraph_dot(cert), args.dot)
     doc = {"header": _header()}
     doc.update(classify.serialize_decomposition(cert))
-    if args.dot:
-        _write_dot(classify.supergraph_dot(cert), args.dot)
     _emit(doc, args.out)
     return 0
 

@@ -119,7 +119,7 @@ def test_contract_order_robust(minimal_corpus):
             continue
         checked += 1
         cert = decompose_minimal(g, g.ids[0], g.ids[1])
-        sg = cert.supergraph
+        sg = classify._supergraph(g, g.index[cert.bamboo[0]])
         if sg.n > 10:
             continue
         assert contracts_to_empty(sg).empty == exhaustive_contraction_orders(*graph_state(sg))
@@ -157,7 +157,7 @@ def test_leaf_supergraphs_blow_down_leaf_by_leaf(minimal_corpus):
         for z1 in range(g.n):
             if g.valence(z1) > 1:
                 continue
-            supergraph, _ = classify._leaf_embedding(g, z1)
+            supergraph = classify._supergraph(g, z1)
             contraction = contracts_to_empty(supergraph)
             excess = [w - len(a) for w, a in zip(supergraph.weights, supergraph.adj)]
             assert excess == [int(v == z1) for v in range(supergraph.n)]
@@ -202,8 +202,10 @@ def test_decompose_bamboo_322():
     assert cert.bamboo == ("v1", "v2", "v3")
     # z_1 = v1 has w = 3 > valence + 1 = 2, so one vertex; v3 is a leaf
     assert doc["attached"] == {"v1": 1, "v2": 0, "v3": 1}
-    assert len(list(doc["pieces"])) == 2
-    designated = cert.piece(cert.designated)
+    pieces = list(doc["pieces"])
+    assert len(pieces) == 2
+    designated = cert.designated_piece
+    assert designated == pieces[cert.designated]
     assert "v1" in designated and "v3" in designated
     assert cert.m == 3
     assert cert.positions == (1, 3)
@@ -227,8 +229,10 @@ def test_decompose_invariants_on_corpus(minimal_corpus):
                 cert = decompose_minimal(g, g.ids[xi], g.ids[yi])
                 doc = serialize_decomposition(cert)
                 assert doc["contracts_to_empty"]
-                assert len(list(doc["pieces"])) == sum(doc["attached"].values())
-                designated = cert.piece(cert.designated)
+                pieces = list(doc["pieces"])
+                assert len(pieces) == sum(doc["attached"].values())
+                designated = cert.designated_piece
+                assert designated == pieces[cert.designated]
                 assert g.ids[xi] in designated and g.ids[yi] in designated
                 px, py = cert.positions
                 assert 1 <= px < py <= cert.m

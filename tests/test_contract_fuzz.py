@@ -143,7 +143,7 @@ def disconnect(doc, rng):
 
 
 def plus_id(doc, rng):
-    # the ids the leaf embedding gives attached vertices
+    # the ids a bamboo decomposition gives attached vertices
     _rename(doc, rng, f"{_id(doc, rng)}+{rng.choice([1, 2, 3])}")
 
 

@@ -110,7 +110,8 @@ def test_tree_pivots_on_weight_one_supergraphs(minimal_corpus):
     # supergraphs carry weight-1 vertices and blow down to nothing, so
     # their intersection matrices are unimodular and negative definite
     for g in minimal_corpus[:10]:
-        sg = decompose_minimal(g, g.ids[0], g.ids[-1]).supergraph
+        cert = decompose_minimal(g, g.ids[0], g.ids[-1])
+        sg = classify._supergraph(g, g.index[cert.bamboo[0]])
         assert graph_is_negative_definite(sg)
         assert negative_definite_by_sylvester(intersection_rows(sg))
         assert ray_basis(sg).det == 1 == _dense_det(sg)
@@ -121,7 +122,8 @@ def test_tree_ray_basis_inverts_dense_matrix(indefinite_corpus, minimal_corpus):
     # supergraphs, which are larger and unimodular
     graphs = [g for g in indefinite_corpus if negative_definite_by_sylvester(intersection_rows(g))]
     for g in minimal_corpus[:12]:
-        graphs.append(decompose_minimal(g, g.ids[0], g.ids[-1]).supergraph)
+        cert = decompose_minimal(g, g.ids[0], g.ids[-1])
+        graphs.append(classify._supergraph(g, g.index[cert.bamboo[0]]))
     assert len(graphs) >= 80
     for g in graphs:
         rays = ray_basis(g)
@@ -223,7 +225,7 @@ def test_leaf_embeddings_match_per_pair_construction(minimal_corpus):
                 cert = decompose_minimal(g, g.ids[xi], g.ids[yi])
                 doc = serialize_decomposition(cert)
                 got = (
-                    graph_fields(cert.supergraph),
+                    graph_fields(classify._supergraph(g, g.index[cert.bamboo[0]])),
                     doc["attached"],
                     tuple(doc["pieces"]),
                     cert.designated,
@@ -231,6 +233,7 @@ def test_leaf_embeddings_match_per_pair_construction(minimal_corpus):
                     cert.positions,
                 )
                 assert got == _reference_decomposition(g, g.ids[xi], g.ids[yi])
+                assert cert.designated_piece == got[2][cert.designated]
                 assert doc["contracts_to_empty"]
 
 
@@ -266,9 +269,9 @@ def test_decompose_long_bamboo_stays_small():
 
 
 def test_decompose_keeps_no_piece():
-    # a decomposition holds its supergraph, not one z_1-path per attached
-    # vertex: on a 500-vertex path with 1023 of them, those paths alone
-    # would hold over 500 000 ids
+    # a decomposition holds its designated piece, not its supergraph nor one
+    # z_1-path per attached vertex: on a 500-vertex path with 1023 of them,
+    # those paths alone would hold over 500 000 ids
     n = 500
     g = WeightedDualGraph([(f"v{k}", 1024 if k == n - 1 else 2) for k in range(n)],
                           [(f"v{k}", f"v{k + 1}") for k in range(n - 1)])
@@ -278,8 +281,9 @@ def test_decompose_keeps_no_piece():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cert.supergraph.n == n + 1023
-    assert cert.piece(1022) == g.ids + ("v499+1023",)
+    assert classify._supergraph(g, g.index[cert.bamboo[0]]).n == n + 1023
+    pieces = serialize_decomposition(cert)["pieces"]
+    assert next(islice(pieces, 1022, None)) == g.ids + ("v499+1023",)
     assert peak < 2 * 2**20
 
 
@@ -304,7 +308,7 @@ def test_contraction_matches_rescan(minimal_corpus):
     # the heap of eligible vertices blows down in the order of a rescan
     # from the smallest index after every step
     leaf_supergraphs = (
-        classify._leaf_embedding(g, z1)[0]
+        classify._supergraph(g, z1)
         for g in minimal_corpus + _benchmark_minimal_graphs()
         for z1 in range(g.n)
         if g.valence(z1) == 1
@@ -336,11 +340,14 @@ def test_attached_ids_match_taken_set(minimal_corpus):
         graphs.append(WeightedDualGraph(
             [(vid, max(val, 2) + rng.choice((0, 0, 1, 2, 3))) for vid, val in zip(ids, valence)],
             [(ids[i], ids[j]) for i, j in edges]))
+    # ids with format braces are names, not templates
+    graphs.append(WeightedDualGraph([("{}", 4), ("{}+1", 2), ("{0}", 2)],
+                                    [("{}", "{}+1"), ("{}", "{0}")]))
     skipped = 0
     for g in graphs:
         for z1 in range(g.n):
             if g.valence(z1) == 1:
-                sg = classify._leaf_embedding(g, z1)[0]
+                sg = classify._supergraph(g, z1)
                 assert sg.ids == attached_ids_by_taken_set(g, z1), (g.ids, z1)
                 rank: dict[int, int] = {}
                 for aux in range(g.n, sg.n):
@@ -723,6 +730,41 @@ def test_certificate_peak_memory_is_per_pair(tmp_path, monkeypatch):
     assert len(doc["pairs"]) == 48 * 47
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert_same(out.read_bytes(), expected.encode("utf-8"))
+
+
+def _held_graphs(root) -> list[WeightedDualGraph]:
+    """Every graph reachable from `root` through tuples, lists, sets and dicts."""
+    stack, seen, found = [root], set(), []
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, WeightedDualGraph):
+            found.append(value)
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.items())
+    return found
+
+
+def test_heavy_hub_certificate_keeps_no_supergraph():
+    # each leaf's supergraph has 999 attached vertices: with all 31 kept on
+    # the graph for the whole run, this peaked at 9.8 MiB; with each built for
+    # its leaf's blow-down check and dropped, at 0.9 MiB
+    g = _star(True, 31, 1000)
+    written = []
+    tracemalloc.start()
+    try:
+        cert = certify_minimal(g)
+        cli._write_json(classify.serialize_certificate(cert), lambda text: written.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) > 500_000
+    assert peak < 2 * 2**20
+    assert all(held is g for held in _held_graphs(g._memo))
 
 
 def _non_minimal_tree(n: int, seed: int) -> WeightedDualGraph:

@@ -225,6 +225,13 @@ def _path_300() -> WeightedDualGraph:
                              [(f"v{k}", f"v{k + 1}") for k in range(n - 1)])
 
 
+def _heavy_star() -> WeightedDualGraph:
+    """31 weight-2 leaves around a hub of weight 1000: each leaf's supergraph
+    has 999 attached vertices."""
+    return WeightedDualGraph([("hub", 1000)] + [(f"l{k}", 2) for k in range(31)],
+                             [("hub", f"l{k}") for k in range(31)])
+
+
 # name -> (command and its arguments, the graph file going second, or None)
 LARGE_CASES = {
     # 1.8 MB, about 28 write windows; every golden is smaller than one window
@@ -234,6 +241,8 @@ LARGE_CASES = {
     # 10 MB, about 150 write windows, the ray basis and pair table made
     # while they are written
     "analyze-negdef60": (["analyze"], _negdef_60),
+    # 1.1 MB, a large surplus: 31 supergraphs of 1031 vertices blown down
+    "certify-minimal-heavy-star": (["certify-minimal"], _heavy_star),
     # 1.8 MB, the 399 pieces made from the supergraph while they are written
     "decompose-path300": (["decompose", "--x", "v0", "--y", "v1"], _path_300),
     # one vertex: the pair lists are iterators with no items

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from nasharcs.arcs import sample_arc
-from nasharcs.classify import certify_minimal, contracts_to_empty, decompose_minimal
+from nasharcs.classify import (
+    certify_minimal,
+    contracts_to_empty,
+    decompose_minimal,
+    serialize_decomposition,
+)
 from nasharcs.cycles import ray_basis
 from nasharcs.errors import BadWeight, MalformedDocument, NotATree
 from nasharcs.generators import an_graph
@@ -256,12 +261,13 @@ def _record(name):
     g = an_graph(3)
     rm = relation_matrix(g)
     cert = decompose_minimal(g, "E1", "E3")
+    supergraph = parse_graph(serialize_decomposition(cert)["supergraph"])
     return {
         "RayBasis": (ray_basis(g), "det"),
         "NashRelation": (rm.get(0, 1), "witness_ij"),
         "RelationMatrix": (rm, "rays"),
-        "BlowDownStep": (contracts_to_empty(cert.supergraph).steps[0], "vertex"),
-        "ContractionTrace": (contracts_to_empty(cert.supergraph), "empty"),
+        "BlowDownStep": (contracts_to_empty(supergraph).steps[0], "vertex"),
+        "ContractionTrace": (contracts_to_empty(supergraph), "empty"),
         "DecompositionCertificate": (cert, "bamboo"),
         "Certificate": (certify_minimal(g), "rays"),
         "TruncatedArc": (sample_arc(2, 1, 4, 0), "x"),
